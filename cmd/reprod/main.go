@@ -227,10 +227,12 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	// flushes it on Close.
 	var resultCache *service.Cache
 	if *storeDir != "" {
+		opening := time.Now()
 		disk, err := store.OpenDisk(*storeDir, store.DiskOptions{MaxBytes: *storeMax})
 		if err != nil {
 			return err
 		}
+		openTook := time.Since(opening)
 		tiered, err := store.NewTiered[*service.Report](*cache, disk, service.ReportCodec())
 		if err != nil {
 			disk.Close()
@@ -247,7 +249,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 			return err
 		}
 		logger.Info("persistent store opened",
-			"dir", *storeDir, "max_bytes", *storeMax, "warm_keys", disk.Len())
+			"dir", *storeDir, "max_bytes", *storeMax, "warm_keys", disk.Len(), "open_duration", openTook)
 	} else {
 		if resultCache, err = service.NewCache(*cache); err != nil {
 			return err

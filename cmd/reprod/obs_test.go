@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -10,7 +11,61 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/slo"
+	"repro/internal/obs/tsdb"
 )
+
+// TestGCPauseRuleBucketEdge drives the default gc_pause_p99 rule
+// through a tsdb ring and SLO engine over the runtime collector's
+// pause buckets. Twenty pauses with one at 5ms are a p99 under the
+// 10ms threshold and must stay ok; one at 12ms must breach. Without a
+// bucket edge at the threshold, the 5ms pause would interpolate to a
+// p99 of about 14ms.
+func TestGCPauseRuleBucketEdge(t *testing.T) {
+	t.Parallel()
+	var src string
+	for _, r := range defaultSLORules {
+		if strings.HasPrefix(r, "gc_pause_p99:") {
+			src = r
+		}
+	}
+	rule, err := slo.ParseRule(src)
+	if err != nil {
+		t.Fatalf("default gc_pause_p99 rule %q: %v", src, err)
+	}
+	for _, tc := range []struct {
+		slow float64
+		want string
+	}{
+		{slow: 5e-3, want: "ok"},
+		{slow: 12e-3, want: "breach"},
+	} {
+		reg := obs.NewRegistry()
+		pauses := reg.Histogram("reprod_go_gc_pause_seconds", "", obs.GCPauseBuckets())
+		eng := slo.New(slo.Config{
+			Ring: tsdb.NewRing(reg, 8), Registry: reg, Rules: []slo.Rule{rule}, Interval: time.Second,
+		})
+		t0 := time.Unix(1_000, 0)
+		eng.Tick(t0)
+		for i := 0; i < 19; i++ {
+			pauses.Observe(float64(100+50*i) * 1e-6)
+		}
+		pauses.Observe(tc.slow)
+		eng.Tick(t0.Add(time.Second))
+		st := eng.Status(t0.Add(time.Second))
+		if len(st.Rules) != 1 {
+			t.Fatalf("status holds %d rules", len(st.Rules))
+		}
+		if got := st.Rules[0]; got.State != tc.want {
+			v := "none"
+			if got.Value != nil {
+				v = fmt.Sprintf("%.4gs", *got.Value)
+			}
+			t.Errorf("19 short pauses and one of %gms: p99 %s, state %s, want %s",
+				tc.slow*1e3, v, got.State, tc.want)
+		}
+	}
+}
 
 // TestDaemonShutdownSequence checks the graceful-drain ordering: once
 // shutdown begins, /readyz flips to 503 {"draining":true} while

@@ -39,7 +39,15 @@
 // combination — memory front, disk behind, read-through promotion,
 // write-behind spill. cmd/reprod is the daemon binary; with
 // -store-dir set it warm-starts from the segment log, answering
-// previously computed specs "cached":true across restarts:
+// previously computed specs "cached":true across restarts. Warm start
+// reads each segment once, front to back, through one bounded buffer,
+// and its boot line logs the open duration next to warm_keys. The
+// disk index holds a 128-bit digest of each key (about 16 B) plus the
+// record's location and no pointers, so it costs the GC nothing to
+// scan; a read compares the record's full key, so a digest collision
+// reads as a miss, never as another spec's report. The cache reads the
+// store outside its lock, so one slow disk read does not hold up
+// other lookups:
 //
 //	reprod -addr :8080 -workers 8 -queue 64 -cache 1024 \
 //	  -store-dir /var/lib/reprod -store-max-bytes 1073741824

@@ -50,7 +50,7 @@ func RegisterRuntime(reg *Registry) *RuntimeCollector {
 			"Completed GC cycles."),
 		gcPause: reg.Histogram("reprod_go_gc_pause_seconds",
 			"Stop-the-world GC pause durations.",
-			ExpBuckets(1e-6, 4, 10)),
+			GCPauseBuckets()),
 	}
 	reg.GaugeFunc("reprod_go_goroutines",
 		"Current number of goroutines.",
@@ -68,6 +68,16 @@ func RegisterRuntime(reg *Registry) *RuntimeCollector {
 		"Heap size target for the next GC cycle.",
 		func() float64 { return float64(c.memStats().NextGC) })
 	return c
+}
+
+// GCPauseBuckets is the bucket schema of reprod_go_gc_pause_seconds:
+// powers of four from 1µs, plus an edge at 10ms, the threshold of the
+// daemon's default gc_pause_p99 SLO rule. Quantiles interpolate inside
+// a bucket, so a bucket straddling the threshold would let one pause
+// under it read as a p99 over it whenever the rule's window holds
+// fewer than about 50 pauses.
+func GCPauseBuckets() []float64 {
+	return append(ExpBuckets(1e-6, 4, 10), 10e-3)
 }
 
 // memStats returns the cached MemStats, refreshing it past the TTL.

@@ -115,16 +115,44 @@ func (c *Cache) Get(key string) (*Report, bool) {
 	return c.backend.Get(key)
 }
 
-// lookup checks the backend under c.mu and counts a Do-level hit.
-// Holding c.mu across the backend call keeps the hit-or-flight
-// decision atomic; a disk-tier read inside is a page-cached pread,
-// microseconds against the milliseconds a simulation costs.
-func (c *Cache) lookup(key string) (*Report, bool) {
-	report, ok := c.backend.Get(key)
-	if ok {
+// claim resolves key to a stored report, or to its in-flight
+// computation and whether this caller leads it (and must publish it),
+// counting the call as a hit, join or miss. The backend is read
+// outside c.mu: a disk-tier read can block on I/O, and holding the
+// mutex across it would queue every other lookup — memory hits
+// included — behind one slow read. A leader re-reads the backend once
+// its flight is registered, so a flight for key that published between
+// the first read and the registration is seen and compute still runs
+// exactly once.
+func (c *Cache) claim(key string) (report *Report, f *flight, lead bool) {
+	if report, ok := c.backend.Get(key); ok {
+		c.mu.Lock()
 		c.hits++
+		c.mu.Unlock()
+		return report, nil, false
 	}
-	return report, ok
+	c.mu.Lock()
+	if f, inFlight := c.flights[key]; inFlight {
+		c.waits++
+		c.mu.Unlock()
+		return nil, f, false
+	}
+	f = &flight{done: make(chan struct{})}
+	c.flights[key] = f
+	c.mu.Unlock()
+	report, ok := c.backend.Get(key)
+	c.mu.Lock()
+	if !ok {
+		c.misses++
+		c.mu.Unlock()
+		return nil, f, true
+	}
+	delete(c.flights, key)
+	c.hits++
+	c.mu.Unlock()
+	f.report = report
+	close(f.done)
+	return report, nil, false
 }
 
 // Do returns the cached report for key, or arranges for compute to run
@@ -155,29 +183,22 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*Report, err
 	retried := false
 	for {
 		sid := tr.Start("cache.get", parent)
-		c.mu.Lock()
-		if report, ok := c.lookup(key); ok {
-			c.mu.Unlock()
+		report, f, lead := c.claim(key)
+		switch {
+		case report != nil:
 			tr.SetAttrStr(sid, "outcome", "hit")
 			tr.End(sid)
 			return report, true, nil
-		}
-		f, inFlight := c.flights[key]
-		if inFlight {
-			c.waits++
-			tr.SetAttrStr(sid, "outcome", "join")
-		} else {
-			f = &flight{done: make(chan struct{})}
-			c.flights[key] = f
-			c.misses++
+		case lead:
 			tr.SetAttrStr(sid, "outcome", "lead")
 			go c.lead(key, f, compute, tr, parent)
+		default:
+			tr.SetAttrStr(sid, "outcome", "join")
 		}
-		c.mu.Unlock()
 		tr.End(sid)
 		select {
 		case <-f.done:
-			if inFlight && !retried && errors.Is(f.err, ErrOverloaded) && !isBrownoutShed(f.err) {
+			if !lead && !retried && errors.Is(f.err, ErrOverloaded) && !isBrownoutShed(f.err) {
 				retried = true
 				// Un-count the abandoned join so the retry attempt
 				// re-classifies this call (hit, wait, or miss) instead
@@ -187,7 +208,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*Report, err
 				c.mu.Unlock()
 				continue
 			}
-			return f.report, inFlight, f.err
+			return f.report, !lead, f.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
@@ -242,28 +263,24 @@ func (c *Cache) publish(key string, f *flight, report *Report, err error, tr *sp
 // sweep that covers the same spec, therefore simulate once, exactly
 // like concurrent identical simulate requests.
 func (c *Cache) Acquire(key string) (report *Report, publish func(*Report, error), wait func(context.Context) (*Report, error)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if report, ok := c.lookup(key); ok {
+	report, f, lead := c.claim(key)
+	switch {
+	case report != nil:
 		return report, nil, nil
+	case lead:
+		// Acquire has no request context to pull a trace from; the
+		// sweep handler records its publish loop under its own span
+		// instead.
+		return nil, func(report *Report, err error) { c.publish(key, f, report, err, nil, span.None) }, nil
 	}
-	if f, inFlight := c.flights[key]; inFlight {
-		c.waits++
-		return nil, nil, func(ctx context.Context) (*Report, error) {
-			select {
-			case <-f.done:
-				return f.report, f.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+	return nil, nil, func(ctx context.Context) (*Report, error) {
+		select {
+		case <-f.done:
+			return f.report, f.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.misses++
-	// Acquire has no request context to pull a trace from; the sweep
-	// handler records its publish loop under its own span instead.
-	return nil, func(report *Report, err error) { c.publish(key, f, report, err, nil, span.None) }, nil
 }
 
 // Put stores a report computed outside a Do flight (the sweep path

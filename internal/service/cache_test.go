@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 func TestNewCacheValidation(t *testing.T) {
@@ -345,5 +347,115 @@ func TestCacheFollowerInheritsBrownoutShed(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("compute ran %d times, want 1 (no follower retry under brownout)", got)
+	}
+}
+
+// hookStore wraps a memory store and runs onGet between reading a key
+// and returning what it read: a stand-in for a slow disk read, or for
+// work racing one.
+type hookStore struct {
+	store.Store[*Report]
+	onGet func(key string)
+}
+
+func (h *hookStore) Get(key string) (*Report, bool) {
+	r, ok := h.Store.Get(key)
+	h.onGet(key)
+	return r, ok
+}
+
+func newHookCache(t *testing.T, onGet func(key string)) *Cache {
+	t.Helper()
+	mem, err := store.NewMemory[*Report](8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCacheWithStore(&hookStore{Store: mem, onGet: onGet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCacheSlowReadDoesNotBlockLookups stalls the store read of one
+// key: a hit on another key must still be served meanwhile, so one
+// slow disk read cannot queue every request behind it.
+func TestCacheSlowReadDoesNotBlockLookups(t *testing.T) {
+	t.Parallel()
+	stall, stalled := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c := newHookCache(t, func(key string) {
+		if key == "slow" {
+			once.Do(func() { close(stalled) })
+			<-stall
+		}
+	})
+	c.Put("fast", &Report{SpecHash: "fast"})
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		_, _, _ = c.Do(context.Background(), "slow", func() (*Report, error) {
+			return &Report{SpecHash: "slow"}, nil
+		})
+	}()
+	<-stalled
+	got := make(chan *Report, 1)
+	go func() {
+		r, _, _ := c.Do(context.Background(), "fast", func() (*Report, error) {
+			return nil, errors.New("compute ran on a stored key")
+		})
+		got <- r
+	}()
+	select {
+	case r := <-got:
+		if r == nil || r.SpecHash != "fast" {
+			t.Errorf("hit on fast = %+v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a hit on another key waited on a stalled store read")
+	}
+	close(stall)
+	<-slowDone
+}
+
+// TestCacheMissRacingPublishComputesOnce lets a whole flight for a key
+// run and publish while another caller's first store read of that key
+// is in progress (and missing). That caller must find the published
+// report when it registers its own flight, not compute a second time.
+func TestCacheMissRacingPublishComputesOnce(t *testing.T) {
+	t.Parallel()
+	var computes atomic.Int32
+	compute := func() (*Report, error) {
+		computes.Add(1)
+		return &Report{SpecHash: "k"}, nil
+	}
+	var c *Cache
+	var raced atomic.Bool
+	c = newHookCache(t, func(key string) {
+		if !raced.CompareAndSwap(false, true) {
+			return
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, _, err := c.Do(context.Background(), key, compute); err != nil {
+				t.Error(err)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Error("a concurrent flight could not run during a store read")
+		}
+	})
+	r, cached, err := c.Do(context.Background(), "k", compute)
+	if err != nil || r == nil || !cached {
+		t.Fatalf("Do = %+v, cached=%v, err=%v; want the published report", r, cached, err)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times, want 1", n)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Waits != 0 {
+		t.Errorf("stats %+v, want one hit and one miss", st)
 	}
 }

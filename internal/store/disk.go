@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,16 +16,17 @@ import (
 
 // Disk is a crash-safe append-only segment log implementing
 // Store[[]byte]: records are (key, value) pairs appended to the
-// active segment, an in-memory index maps each key to its newest
-// record, and the index is rebuilt by scanning the segments on open.
-// Every record carries a CRC32 (Castagnoli) over its header and
-// payload, so a torn write — a crash mid-append — is detected on the
-// next open and the tail is truncated at the last intact record
-// rather than trusted. A byte budget is enforced at segment
-// granularity: when the log exceeds MaxBytes the oldest sealed
-// segment is either compacted (its live records rewritten to the
-// tail, its file dropped) when mostly dead, or evicted wholesale
-// when mostly live — cache semantics make dropping old entries safe.
+// active segment, an in-memory index maps each key's digest to its
+// newest record, and the index is rebuilt on open by reading each
+// segment front to back in one sequential pass. Every record carries
+// a CRC32 (Castagnoli) over its header and payload, so a torn write —
+// a crash mid-append — is detected on the next open and the tail is
+// truncated at the last intact record rather than trusted. A byte
+// budget is enforced at segment granularity: when the log exceeds
+// MaxBytes the oldest sealed segment is either compacted (its live
+// records rewritten to the tail, its file dropped) when mostly dead,
+// or evicted wholesale when mostly live — cache semantics make
+// dropping old entries safe.
 //
 // Durability is batched: Put appends to the OS page cache and a
 // background flusher fsyncs the active segment every FlushInterval,
@@ -35,8 +38,11 @@ type Disk struct {
 	segMax     int64
 	flushEvery time.Duration
 
+	// seeds key the index digests; drawn per Disk and never persisted.
+	seeds [2]maphash.Seed
+
 	mu         sync.Mutex
-	index      map[string]recordLoc
+	index      map[keyID]recordLoc
 	segs       map[int]*segment
 	segIDs     []int // ascending; last is the active (append) segment
 	totalBytes int64
@@ -63,7 +69,33 @@ const recordHeaderSize = 10
 // maxKeyLen bounds keys to what a uint16 length can carry.
 const maxKeyLen = 1<<16 - 1
 
+// scanBufSize bounds the buffer open reads segments through. A
+// record's header and key always fit (keys are at most 64 KiB); larger
+// values stream through it in chunks.
+const scanBufSize = 1 << 20
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// errWrongKey reports a record whose key is not the one the index
+// entry was looked up or stored under: a digest collision reads as a
+// miss, never as another key's value.
+var errWrongKey = errors.New("store: index points at wrong key")
+
+// keyID is the index key: a 128-bit digest of a record key under the
+// Disk's two seeds. It holds no pointer, so open and Put allocate no
+// string per key and the GC never scans the index.
+type keyID struct{ lo, hi uint64 }
+
+// keyOf digests a key on the lookup and Put paths.
+func (d *Disk) keyOf(key string) keyID {
+	return keyID{maphash.String(d.seeds[0], key), maphash.String(d.seeds[1], key)}
+}
+
+// keyOfBytes digests a key in place in a read buffer; it equals keyOf
+// of the same bytes.
+func (d *Disk) keyOfBytes(key []byte) keyID {
+	return keyID{maphash.Bytes(d.seeds[0], key), maphash.Bytes(d.seeds[1], key)}
+}
 
 type recordLoc struct {
 	segID int
@@ -131,7 +163,8 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		maxBytes:   opts.MaxBytes,
 		segMax:     segMax,
 		flushEvery: flush,
-		index:      make(map[string]recordLoc),
+		seeds:      [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
+		index:      make(map[keyID]recordLoc),
 		segs:       make(map[int]*segment),
 	}
 	if err := d.load(); err != nil {
@@ -157,6 +190,7 @@ func (d *Disk) segPath(id int) string {
 }
 
 // load scans the existing segments in id order, rebuilding the index.
+// One buffer serves every segment.
 func (d *Disk) load() error {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -170,12 +204,16 @@ func (d *Disk) load() error {
 		}
 	}
 	sort.Ints(ids)
+	var br *bufio.Reader
 	for _, id := range ids {
 		seg, err := d.addSegment(id)
 		if err != nil {
 			return err
 		}
-		if err := d.scanSegment(seg); err != nil {
+		if br == nil {
+			br = bufio.NewReaderSize(seg.f, scanBufSize)
+		}
+		if err := d.scanSegment(seg, br); err != nil {
 			return err
 		}
 	}
@@ -201,49 +239,20 @@ func (d *Disk) active() *segment {
 	return d.segs[d.segIDs[len(d.segIDs)-1]]
 }
 
-// scanSegment replays one segment into the index. The first record
-// that fails to parse or verify — a torn tail after a crash, or
-// bitrot — truncates the segment there: the intact prefix is trusted,
-// the rest is dropped.
-func (d *Disk) scanSegment(seg *segment) error {
+// scanSegment replays one segment into the index, reading it front to
+// back through br. The first record that fails to parse or verify — a
+// torn tail after a crash, or bitrot — truncates the segment there:
+// the intact prefix is trusted, the rest is dropped.
+func (d *Disk) scanSegment(seg *segment, br *bufio.Reader) error {
 	info, err := seg.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: stat segment: %w", err)
 	}
 	fileSize := info.Size()
+	br.Reset(seg.f)
 	var off int64
-	var hdr [recordHeaderSize]byte
-	buf := make([]byte, 0, 4096)
 	for off < fileSize {
-		ok := func() bool {
-			if fileSize-off < recordHeaderSize {
-				return false
-			}
-			if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
-				return false
-			}
-			keyLen := int64(binary.BigEndian.Uint16(hdr[4:6]))
-			valLen := int64(binary.BigEndian.Uint32(hdr[6:10]))
-			size := recordHeaderSize + keyLen + valLen
-			if keyLen == 0 || off+size > fileSize {
-				return false
-			}
-			if int64(cap(buf)) < keyLen+valLen {
-				buf = make([]byte, keyLen+valLen)
-			}
-			body := buf[:keyLen+valLen]
-			if _, err := seg.f.ReadAt(body, off+recordHeaderSize); err != nil {
-				return false
-			}
-			crc := crc32.Checksum(hdr[4:], crcTable)
-			crc = crc32.Update(crc, crcTable, body)
-			if crc != binary.BigEndian.Uint32(hdr[0:4]) {
-				return false
-			}
-			d.indexRecord(string(body[:keyLen]), recordLoc{segID: seg.id, off: off, size: size}, seg)
-			off += size
-			return true
-		}()
+		id, size, ok := d.scanRecord(br, fileSize-off)
 		if !ok {
 			d.truncated++
 			if err := seg.f.Truncate(off); err != nil {
@@ -251,21 +260,65 @@ func (d *Disk) scanSegment(seg *segment) error {
 			}
 			break
 		}
+		d.indexRecord(id, recordLoc{segID: seg.id, off: off, size: size}, seg)
+		off += size
 	}
 	seg.size = off
 	d.totalBytes += off
 	return nil
 }
 
-// indexRecord points key at loc, retiring any older record.
-func (d *Disk) indexRecord(key string, loc recordLoc, seg *segment) {
-	if old, ok := d.index[key]; ok {
+// scanRecord consumes the record at br's position, remain bytes before
+// the end of its segment, and returns its key digest and size. ok is
+// false for a short header, a zero-length key, a record running past
+// the end of the segment, a read error, or a CRC mismatch.
+func (d *Disk) scanRecord(br *bufio.Reader, remain int64) (id keyID, size int64, ok bool) {
+	if remain < recordHeaderSize {
+		return keyID{}, 0, false
+	}
+	hdr, err := br.Peek(recordHeaderSize)
+	if err != nil {
+		return keyID{}, 0, false
+	}
+	want := binary.BigEndian.Uint32(hdr[0:4])
+	keyLen := int(binary.BigEndian.Uint16(hdr[4:6]))
+	valLen := int64(binary.BigEndian.Uint32(hdr[6:10]))
+	size = recordHeaderSize + int64(keyLen) + valLen
+	if keyLen == 0 || size > remain {
+		return keyID{}, 0, false
+	}
+	head, err := br.Peek(recordHeaderSize + keyLen)
+	if err != nil {
+		return keyID{}, 0, false
+	}
+	crc := crc32.Checksum(head[4:], crcTable)
+	id = d.keyOfBytes(head[recordHeaderSize:])
+	// Discarding bytes a Peek just returned cannot fail.
+	_, _ = br.Discard(len(head))
+	for left := valLen; left > 0; {
+		chunk, err := br.Peek(int(min(left, scanBufSize)))
+		if err != nil {
+			return keyID{}, 0, false
+		}
+		crc = crc32.Update(crc, crcTable, chunk)
+		_, _ = br.Discard(len(chunk))
+		left -= int64(len(chunk))
+	}
+	if crc != want {
+		return keyID{}, 0, false
+	}
+	return id, size, true
+}
+
+// indexRecord points id at loc, retiring any older record.
+func (d *Disk) indexRecord(id keyID, loc recordLoc, seg *segment) {
+	if old, ok := d.index[id]; ok {
 		if prev := d.segs[old.segID]; prev != nil {
 			prev.liveBytes -= old.size
 			prev.liveKeys--
 		}
 	}
-	d.index[key] = loc
+	d.index[id] = loc
 	seg.liveBytes += loc.size
 	seg.liveKeys++
 }
@@ -274,43 +327,64 @@ func (d *Disk) indexRecord(key string, loc recordLoc, seg *segment) {
 // failures are served as misses (counted in Stats), never as errors:
 // the caller can always recompute a cache entry.
 func (d *Disk) Get(key string) ([]byte, bool) {
+	id := d.keyOf(key)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, false
 	}
-	loc, ok := d.index[key]
+	loc, ok := d.index[id]
 	if !ok {
 		return nil, false
 	}
-	val, err := d.readRecord(key, loc)
+	rec, err := d.readRecord(loc)
+	if err == nil && string(recordKey(rec)) != key {
+		err = errWrongKey
+	}
 	if err != nil {
 		d.readErrors++
 		return nil, false
 	}
 	d.hits++
-	return val, true
+	return rec[recordHeaderSize+len(key):], true
 }
 
-// readRecord fetches and verifies one record under d.mu.
-func (d *Disk) readRecord(key string, loc recordLoc) ([]byte, error) {
+// readRecord fetches one whole record and verifies its CRC and that
+// its header agrees with the index's size. Called with d.mu held.
+func (d *Disk) readRecord(loc recordLoc) ([]byte, error) {
 	seg := d.segs[loc.segID]
 	if seg == nil {
 		return nil, fmt.Errorf("store: segment %d gone", loc.segID)
 	}
-	buf := make([]byte, loc.size)
-	if _, err := seg.f.ReadAt(buf, loc.off); err != nil {
+	rec := make([]byte, loc.size)
+	if _, err := seg.f.ReadAt(rec, loc.off); err != nil {
 		return nil, err
 	}
-	keyLen := int64(binary.BigEndian.Uint16(buf[4:6]))
-	crc := crc32.Checksum(buf[4:], crcTable)
-	if crc != binary.BigEndian.Uint32(buf[0:4]) {
+	if crc32.Checksum(rec[4:], crcTable) != binary.BigEndian.Uint32(rec[0:4]) {
 		return nil, errors.New("store: crc mismatch")
 	}
-	if string(buf[recordHeaderSize:recordHeaderSize+keyLen]) != key {
-		return nil, errors.New("store: index points at wrong key")
+	keyLen := int64(binary.BigEndian.Uint16(rec[4:6]))
+	valLen := int64(binary.BigEndian.Uint32(rec[6:10]))
+	if recordHeaderSize+keyLen+valLen != loc.size {
+		return nil, errors.New("store: record size disagrees with index")
 	}
-	return buf[recordHeaderSize+keyLen:], nil
+	return rec, nil
+}
+
+// recordKey returns the key bytes of a record readRecord verified.
+func recordKey(rec []byte) []byte {
+	return rec[recordHeaderSize : recordHeaderSize+int(binary.BigEndian.Uint16(rec[4:6]))]
+}
+
+// encodeRecord lays out one record for key and value.
+func encodeRecord(key string, value []byte) []byte {
+	rec := make([]byte, recordHeaderSize+len(key)+len(value))
+	binary.BigEndian.PutUint16(rec[4:6], uint16(len(key)))
+	binary.BigEndian.PutUint32(rec[6:10], uint32(len(value)))
+	copy(rec[recordHeaderSize:], key)
+	copy(rec[recordHeaderSize+len(key):], value)
+	binary.BigEndian.PutUint32(rec[0:4], crc32.Checksum(rec[4:], crcTable))
+	return rec
 }
 
 // Put appends a record for key. The write lands in the OS page cache
@@ -319,12 +393,13 @@ func (d *Disk) Put(key string, value []byte) {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return
 	}
+	id, rec := d.keyOf(key), encodeRecord(key, value)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
-	if err := d.appendRecord(key, value); err != nil {
+	if err := d.appendRecord(id, rec); err != nil {
 		d.readErrors++ // an append failure surfaces like a lost record
 		return
 	}
@@ -336,10 +411,11 @@ func (d *Disk) Put(key string, value []byte) {
 	}
 }
 
-// appendRecord writes one record to the active segment (rolling it at
-// the size threshold) and indexes it. Called with d.mu held.
-func (d *Disk) appendRecord(key string, value []byte) error {
-	size := int64(recordHeaderSize + len(key) + len(value))
+// appendRecord writes one encoded record to the active segment
+// (rolling it at the size threshold) and indexes it under id. Called
+// with d.mu held.
+func (d *Disk) appendRecord(id keyID, rec []byte) error {
+	size := int64(len(rec))
 	seg := d.active()
 	if seg.size > 0 && seg.size+size > d.segMax {
 		var err error
@@ -347,19 +423,13 @@ func (d *Disk) appendRecord(key string, value []byte) error {
 			return err
 		}
 	}
-	rec := make([]byte, size)
-	binary.BigEndian.PutUint16(rec[4:6], uint16(len(key)))
-	binary.BigEndian.PutUint32(rec[6:10], uint32(len(value)))
-	copy(rec[recordHeaderSize:], key)
-	copy(rec[recordHeaderSize+len(key):], value)
-	binary.BigEndian.PutUint32(rec[0:4], crc32.Checksum(rec[4:], crcTable))
 	if _, err := seg.f.WriteAt(rec, seg.size); err != nil {
 		return err
 	}
 	loc := recordLoc{segID: seg.id, off: seg.size, size: size}
 	seg.size += size
 	d.totalBytes += size
-	d.indexRecord(key, loc, seg)
+	d.indexRecord(id, loc, seg)
 	return nil
 }
 
@@ -405,30 +475,35 @@ func (d *Disk) gc() {
 }
 
 // compact rewrites victim's live records into the active segment.
+// Each record is read back whole, its CRC checked and its key's digest
+// matched against the index entry, then appended byte for byte.
 func (d *Disk) compact(victim *segment) bool {
 	type liveRec struct {
-		key string
+		id  keyID
 		loc recordLoc
 	}
 	var live []liveRec
-	for key, loc := range d.index {
+	for id, loc := range d.index {
 		if loc.segID == victim.id {
-			live = append(live, liveRec{key, loc})
+			live = append(live, liveRec{id, loc})
 		}
 	}
 	// Oldest-first keeps relative record order across compactions.
 	sort.Slice(live, func(i, j int) bool { return live[i].loc.off < live[j].loc.off })
 	for _, r := range live {
-		val, err := d.readRecord(r.key, r.loc)
+		rec, err := d.readRecord(r.loc)
+		if err == nil && d.keyOfBytes(recordKey(rec)) != r.id {
+			err = errWrongKey
+		}
 		if err != nil {
 			// Unreadable record: drop the key rather than abort GC.
 			d.readErrors++
-			delete(d.index, r.key)
+			delete(d.index, r.id)
 			victim.liveBytes -= r.loc.size
 			victim.liveKeys--
 			continue
 		}
-		if err := d.appendRecord(r.key, val); err != nil {
+		if err := d.appendRecord(r.id, rec); err != nil {
 			return false
 		}
 	}
@@ -437,9 +512,9 @@ func (d *Disk) compact(victim *segment) bool {
 
 // evictSegment drops every live key still pointing into victim.
 func (d *Disk) evictSegment(victim *segment) {
-	for key, loc := range d.index {
+	for id, loc := range d.index {
 		if loc.segID == victim.id {
-			delete(d.index, key)
+			delete(d.index, id)
 			d.evictions++
 		}
 	}
