@@ -26,10 +26,12 @@
 // axes, is admitted as one job whose work charge is the summed
 // per-variant cost, and executes through internal/experiment.RunSweep,
 // which resolves the family once (core.Template) and fans
-// (variant, replication) tasks across a bounded worker group; the
-// scheduler also coalesces concurrently queued single specs that
-// share a family into the same vectorized path, bit-identical to
-// running each spec alone.
+// (variant, replication) tasks across a bounded worker group.
+// RunSweep is the scheduler's only replication loop: concurrently
+// queued single specs that share a family coalesce into one batch,
+// and a spec that runs alone is a batch of one — its replications run
+// serially on its shard worker, outside the sweep gate, on the same
+// code path and bit-identical to running the spec by hand.
 //
 // Result storage lives in internal/store, tiered behind the
 // service.Cache seam: store.Memory is the in-proc LRU, store.Disk a
@@ -108,7 +110,8 @@
 // stay on v1). Under v2 the agent and aggregate engines therefore
 // produce identical draw sequences. experiment.RunSweep executes v2
 // replications in blocks of experiment.BlockLanes lanes through the
-// StepBlock structure-of-arrays kernels.
+// StepBlock structure-of-arrays kernels (one lane per block for a
+// topology, whose blocks keep one dynamics state per lane).
 //
 // Choosing a version: v2 is the replication-heavy sweep contract —
 // small-to-moderate m with many replications is where the counts-based
@@ -182,7 +185,7 @@
 //	sched_coalesced_jobs_total             counter   jobs inside coalesced batches
 //	sched_solo_jobs_total                  counter   jobs executed individually
 //	core_draw_order{version}               gauge     info: draw-order versions executed (v1|v2)
-//	sweep_tasks_total                      counter   (variant, replication) fan-out
+//	sweep_tasks_total                      counter   replication tasks begun, every job kind
 //	sweep_engine_reuses_total              counter   tasks served by engine Reset
 //	sweep_engine_builds_total              counter   tasks building a fresh engine
 //	cache_requests_total{result}           counter   hit | miss | wait
@@ -332,10 +335,12 @@
 // a live trace, pinned by BenchmarkSpanOverhead; untraced paths pay a
 // nil-check only). The root span is keyed by the request ID; the
 // layers below add validate, admission, cache.get/cache.put,
-// queue.wait (per shard), and run spans, and the run nests one span
-// per replication (v1) or replication block (v2) — a coalesced job's
-// span tree shows its own sweep.task spans under its run span, tagged
-// with the batch size it rode in. The last -trace-ring completed
+// queue.wait (per shard), and run spans, and every job's run nests one
+// replication span per v1 replication or replication.block span per
+// v2 block (solo, coalesced, and sweep jobs alike all execute through
+// experiment.RunSweep) — a coalesced job's span tree shows its own
+// replication spans under its own run span, tagged with the batch size
+// it rode in. The last -trace-ring completed
 // traces back GET /debug/traces, any trace slower than -trace-slow is
 // logged through slog, and a job's tree is served once it settles:
 //

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/infinite"
-	"repro/internal/netpop"
 	"repro/internal/population"
 	"repro/internal/rng"
 )
@@ -41,64 +40,14 @@ type BlockGroup struct {
 // one environment instance serves every lane, which is only sound for
 // the stateless IID Bernoulli default.
 func NewBlock(c Config, lane0, lanes int) (*BlockGroup, error) {
-	if lane0 < 0 || lanes <= 0 {
-		return nil, fmt.Errorf("%w: block of %d lanes at lane %d", ErrBadConfig, lanes, lane0)
-	}
 	if c.Environment != nil {
 		return nil, fmt.Errorf("%w: block groups require the default IID environment (custom environments may be stateful and cannot be shared across lanes)", ErrBadConfig)
 	}
-	environ, rule, mu, err := c.resolve()
+	t, err := c.template()
 	if err != nil {
 		return nil, err
 	}
-	eta1 := 0.0
-	for _, q := range environ.Qualities() {
-		if q > eta1 {
-			eta1 = q
-		}
-	}
-	b := &BlockGroup{environ: environ, eta1: eta1, lanes: lanes}
-	if c.Network != nil {
-		b.perLane = make([]*Group, 0, lanes)
-		b.cum = make([]float64, lanes)
-		for k := 0; k < lanes; k++ {
-			d, err := netpop.New(netpop.Config{
-				Graph: c.Network, Mu: mu, Rule: rule, Env: environ,
-				Seed: rng.StripeSeed(c.Seed, lane0+k),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			b.perLane = append(b.perLane, &Group{
-				environ: environ, eta1: eta1, rule: rule, mu: mu, network: d,
-			})
-		}
-		return b, nil
-	}
-	if c.N == 0 {
-		b.inf, err = infinite.NewBlock(infinite.Config{
-			Mu: mu, Rule: rule, Env: environ, Seed: c.Seed,
-		}, lane0, lanes)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		return b, nil
-	}
-	popCfg := population.Config{
-		N: c.N, Mu: mu, Rule: rule, Env: environ, Seed: c.Seed,
-	}
-	switch c.Engine {
-	case EngineAggregate:
-		b.agg, err = population.NewAggregateBlockEngine(popCfg, lane0, lanes)
-	case EngineAgent:
-		b.agent, err = population.NewAgentBlockEngine(popCfg, lane0, lanes)
-	default:
-		return nil, fmt.Errorf("%w: unknown engine %d", ErrBadConfig, c.Engine)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return b, nil
+	return t.NewBlock(c.N, c.Engine, c.Seed, lane0, lanes)
 }
 
 // NewBlock builds one replication block for a variant of the
@@ -109,6 +58,18 @@ func (t *Template) NewBlock(n int, engine EngineKind, seed uint64, lane0, lanes 
 		return nil, fmt.Errorf("%w: block of %d lanes at lane %d", ErrBadConfig, lanes, lane0)
 	}
 	b := &BlockGroup{environ: t.environ, eta1: t.eta1, lanes: lanes}
+	if t.network != nil {
+		b.perLane = make([]*Group, lanes)
+		b.cum = make([]float64, lanes)
+		for k := range b.perLane {
+			d, err := t.netpop(rng.StripeSeed(seed, lane0+k))
+			if err != nil {
+				return nil, err
+			}
+			b.perLane[k] = &Group{environ: t.environ, eta1: t.eta1, rule: t.rule, mu: t.mu, network: d}
+		}
+		return b, nil
+	}
 	var err error
 	if n == 0 {
 		b.inf, err = infinite.NewBlock(infinite.Config{

@@ -190,53 +190,11 @@ func (c Config) Validate() error {
 
 // New validates the config and constructs the group.
 func New(c Config) (*Group, error) {
-	environ, rule, mu, err := c.resolve()
+	t, err := c.template()
 	if err != nil {
 		return nil, err
 	}
-	eta1 := 0.0
-	for _, q := range environ.Qualities() {
-		if q > eta1 {
-			eta1 = q
-		}
-	}
-
-	g := &Group{environ: environ, eta1: eta1, rule: rule, mu: mu}
-	if c.Network != nil {
-		d, err := netpop.New(netpop.Config{
-			Graph: c.Network, Mu: mu, Rule: rule, Env: environ, Seed: c.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		g.network = d
-		return g, nil
-	}
-	if c.N == 0 {
-		p, err := infinite.New(infinite.Config{
-			Mu: mu, Rule: rule, Env: environ, Seed: c.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		g.infinite = p
-		return g, nil
-	}
-	popCfg := population.Config{
-		N: c.N, Mu: mu, Rule: rule, Env: environ, Seed: c.Seed,
-	}
-	switch c.Engine {
-	case EngineAggregate:
-		g.finite, err = population.NewAggregateEngine(popCfg)
-	case EngineAgent:
-		g.finite, err = population.NewAgentEngine(popCfg)
-	default:
-		return nil, fmt.Errorf("%w: unknown engine %d", ErrBadConfig, c.Engine)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return g, nil
+	return t.Group(c.N, c.Engine, c.Seed)
 }
 
 // Template is a pre-resolved Config for parameter sweeps: it runs
@@ -247,8 +205,10 @@ func New(c Config) (*Group, error) {
 // so NewTemplate requires the default IID Bernoulli environment (built
 // from Qualities), which is immutable and safe for concurrent Step
 // calls; custom environments may carry per-run state (Drifting,
-// Switching) and are rejected. Network configs are rejected for the
-// same reason: a graph is per-run state.
+// Switching) and are rejected. A Config.Network is allowed: the graph
+// is immutable, so every group and block the template builds shares
+// the one graph (each keeps its own dynamics state), exactly as a
+// BlockGroup's lanes do.
 //
 // Group(n, engine, seed) is equivalent to New with the same Config —
 // the constructed group reproduces a direct New(...).Run(...) bit for
@@ -258,6 +218,7 @@ type Template struct {
 	rule    agent.Linear
 	mu      float64
 	eta1    float64
+	network *graph.Graph
 }
 
 // NewTemplate resolves the sweep-invariant parts of c. The variant
@@ -266,9 +227,12 @@ func NewTemplate(c Config) (*Template, error) {
 	if c.Environment != nil {
 		return nil, fmt.Errorf("%w: template requires the default IID environment (custom environments may be stateful and cannot be shared across sweep runs)", ErrBadConfig)
 	}
-	if c.Network != nil {
-		return nil, fmt.Errorf("%w: template does not support network configs (the graph is per-run state)", ErrBadConfig)
-	}
+	return c.template()
+}
+
+// template resolves c without NewTemplate's shared-environment check;
+// New builds its one group from it.
+func (c Config) template() (*Template, error) {
 	environ, rule, mu, err := c.resolve()
 	if err != nil {
 		return nil, err
@@ -279,15 +243,25 @@ func NewTemplate(c Config) (*Template, error) {
 			eta1 = q
 		}
 	}
-	return &Template{environ: environ, rule: rule, mu: mu, eta1: eta1}, nil
+	return &Template{environ: environ, rule: rule, mu: mu, eta1: eta1, network: c.Network}, nil
 }
 
-// Group builds one group for a variant of the template's family: n = 0
-// selects the infinite-population process, otherwise engine selects the
-// finite implementation. The result is identical to New with the
+// Group builds one group for a variant of the template's family: a
+// network family runs the neighbor-sampling dynamics on the shared
+// graph (n and engine are ignored), n = 0 selects the
+// infinite-population process, otherwise engine selects the finite
+// implementation. The result is identical to New with the
 // corresponding Config.
 func (t *Template) Group(n int, engine EngineKind, seed uint64) (*Group, error) {
 	g := &Group{environ: t.environ, eta1: t.eta1, rule: t.rule, mu: t.mu}
+	if t.network != nil {
+		d, err := t.netpop(seed)
+		if err != nil {
+			return nil, err
+		}
+		g.network = d
+		return g, nil
+	}
 	if n == 0 {
 		p, err := infinite.New(infinite.Config{
 			Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
@@ -314,6 +288,17 @@ func (t *Template) Group(n int, engine EngineKind, seed uint64) (*Group, error) 
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return g, nil
+}
+
+// netpop builds one run's dynamics on the template's shared graph.
+func (t *Template) netpop(seed uint64) (*netpop.Dynamics, error) {
+	d, err := netpop.New(netpop.Config{
+		Graph: t.network, Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return d, nil
 }
 
 // IsInfinite reports whether the group is the infinite-population

@@ -118,13 +118,6 @@ func TestTemplateRejectsStatefulConfigs(t *testing.T) {
 	if _, err := NewTemplate(Config{Environment: drift, Beta: 0.6}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("custom environment accepted: %v", err)
 	}
-	ring, err := graph.Ring(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewTemplate(Config{Qualities: []float64{0.7, 0.3}, Beta: 0.6, Network: ring}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("network config accepted: %v", err)
-	}
 	if _, err := NewTemplate(Config{Qualities: []float64{0.7, 0.3}, Beta: 7}); err == nil {
 		t.Error("invalid beta accepted")
 	}
@@ -135,4 +128,77 @@ func TestTemplateRejectsStatefulConfigs(t *testing.T) {
 	if _, err := tmpl.Group(100, EngineKind(99), 1); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad engine accepted: %v", err)
 	}
+}
+
+// TestTemplateNetworkMatchesNew pins the network half of the template:
+// groups and blocks stamped out of one template share its graph, yet
+// each equals core.New / core.NewBlock on a freshly built graph of its
+// own, bit for bit — interleaved stepping shows no run leaks state
+// into another through the shared graph.
+func TestTemplateNetworkMatchesNew(t *testing.T) {
+	t.Parallel()
+
+	ring := func() *graph.Graph {
+		g, err := graph.Ring(30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	base := Config{Qualities: []float64{0.9, 0.5, 0.5}, Beta: 0.7, Network: ring()}
+	tmpl, err := NewTemplate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(seed uint64) Config {
+		cfg := base
+		cfg.Network, cfg.Seed = ring(), seed
+		return cfg
+	}
+
+	const steps = 150
+	var got, want [2]*Group
+	for i := range got {
+		seed := uint64(7 + i)
+		if got[i], err = tmpl.Group(0, EngineAggregate, seed); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = New(fresh(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		for i := range got {
+			if err := got[i].Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := want[i].Step(); err != nil {
+				t.Fatal(err)
+			}
+			if got[i].GroupReward() != want[i].GroupReward() {
+				t.Fatalf("group %d step %d: reward %v, want %v", i, step, got[i].GroupReward(), want[i].GroupReward())
+			}
+		}
+	}
+	for i := range got {
+		gp, wp := got[i].Popularity(), want[i].Popularity()
+		for j := range wp {
+			if gp[j] != wp[j] {
+				t.Fatalf("group %d popularity[%d] = %v, want %v", i, j, gp[j], wp[j])
+			}
+		}
+	}
+
+	const lane0, lanes = 2, 3
+	wantBlock, err := NewBlock(fresh(11), lane0, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBlock, err := tmpl.NewBlock(0, EngineAggregate, 11, lane0, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPops, wantCums := runBlock(t, wantBlock, steps)
+	gotPops, gotCums := runBlock(t, gotBlock, steps)
+	assertLanesEqual(t, "template network block", wantPops, gotPops, wantCums, gotCums, 0)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs/span"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // defaultSweepCheckEvery is the fallback number of steps between
@@ -27,13 +28,16 @@ const defaultSweepCheckEvery = 2048
 // SoA state (O(lanes·m) plus one shared engine) small enough to stay
 // cache-resident for the paper's option counts while amortizing
 // per-step scheduling and engine-reuse overhead across many lanes.
+// Network families run width-1 blocks instead: their blocks fall back
+// to one dynamics state per lane, so a wide block would multiply a
+// run's memory by its width.
 const BlockLanes = 32
 
 // SweepVariant is one member of a parameter sweep: the axes that vary
 // across runs of a shared (qualities, β, µ) family.
 type SweepVariant struct {
 	// N is the population size; 0 selects the infinite-population
-	// process.
+	// process. Network families ignore it.
 	N int
 	// Engine selects the finite-population implementation.
 	Engine core.EngineKind
@@ -64,7 +68,7 @@ type SweepVariant struct {
 	// never ran).
 	OnStart func() context.Context
 	// Trace, when non-nil, records one span per task of this variant —
-	// "sweep.task" for a v1 replication, "sweep.block" for a v2
+	// "replication" for a v1 replication, "replication.block" for a v2
 	// replication block — nested under Span. Every span call is safe on
 	// a nil Trace, so untraced sweeps pay only nil checks.
 	Trace *span.Trace
@@ -75,11 +79,18 @@ type SweepVariant struct {
 	// schedule one (variant, replication) task per replication, each
 	// seeded SeedFor(Seed, rep) — the frozen v1 order, bit-identical to
 	// running the variant alone. "v2" schedules replication BLOCKS of
-	// up to BlockLanes lanes, each lane seeded rng.StripeSeed(Seed,
-	// rep) with its own independent stream; results differ from v1 by
-	// design (distinct contract), but are invariant to block
-	// partitioning and worker count. Anything else is ErrBadOptions.
+	// up to BlockLanes lanes (one lane for network families), each lane
+	// seeded rng.StripeSeed(Seed, rep) with its own independent stream;
+	// results differ from v1 by design (distinct contract), but are
+	// invariant to block partitioning and worker count. Anything else
+	// is ErrBadOptions.
 	DrawOrder string
+	// Trajectory, when non-nil, receives replication 0's row after
+	// every step — t, the group reward, then the popularity vector
+	// (lane 0 of the first block under v2) — and keeps rows by its own
+	// downsampling. It needs 2+m columns and may be read while the
+	// sweep runs.
+	Trajectory *trace.Recorder
 }
 
 // SweepResult is the outcome of one variant. When Err is nil the
@@ -151,11 +162,12 @@ type SweepOptions struct {
 }
 
 // RunSweep executes every variant of a shared-family sweep with
-// amortized setup: the family config (qualities, β, α, µ) is resolved
-// once into a core.Template, and the (variant, replication) tasks fan
-// out across a bounded worker group instead of serializing per
-// variant. proto carries the family fields; its N, Engine, and Seed
-// are ignored.
+// amortized setup: the family config (qualities, β, α, µ, and an
+// optional network) is resolved once into a core.Template, and the
+// (variant, replication) tasks fan out across a bounded worker group
+// instead of serializing per variant. proto carries the family fields;
+// its N, Engine, and Seed are ignored. With one worker the tasks run
+// serially on the calling goroutine.
 //
 // Per-variant failures (including per-variant context cancellation)
 // are reported in the corresponding SweepResult.Err; RunSweep itself
@@ -167,175 +179,155 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if opt.Counters == nil {
+		opt.Counters = new(SweepCounters)
+	}
 	tmpl, err := core.NewTemplate(proto)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: sweep family: %w", err)
 	}
-	// A task is either one v1 replication (lanes == 0, seeded
-	// SeedFor(Seed, rep)) or one v2 replication block covering lanes
-	// replications [rep, rep+lanes) of the variant.
-	type task struct{ v, rep, lanes int }
-	var tasks []task
-	reps := make([]int, len(variants))
+	width := BlockLanes
+	if proto.Network != nil {
+		width = 1
+	}
+	r := &sweepRun{ctx: ctx, tmpl: tmpl, variants: variants, opt: opt, states: make([]variantState, len(variants))}
+	tasks := 0
 	for v := range variants {
+		st := &r.states[v]
 		if variants[v].Steps <= 0 {
 			return nil, fmt.Errorf("%w: variant %d steps=%d", ErrBadOptions, v, variants[v].Steps)
 		}
-		reps[v] = variants[v].Replications
-		if reps[v] <= 0 {
-			reps[v] = 1
-		}
+		st.reps = max(variants[v].Replications, 1)
 		switch variants[v].DrawOrder {
 		case "", "v1":
-			for rep := 0; rep < reps[v]; rep++ {
-				tasks = append(tasks, task{v, rep, 0})
-			}
+			tasks += st.reps
 		case "v2":
-			for rep := 0; rep < reps[v]; rep += BlockLanes {
-				lanes := reps[v] - rep
-				if lanes > BlockLanes {
-					lanes = BlockLanes
-				}
-				tasks = append(tasks, task{v, rep, lanes})
-			}
+			st.width = width
+			tasks += (st.reps + width - 1) / width
 		default:
 			return nil, fmt.Errorf("%w: variant %d draw order %q", ErrBadOptions, v, variants[v].DrawOrder)
 		}
-	}
-
-	// Per-(variant, replication) outputs, merged deterministically (in
-	// replication order) after the pool drains so the averages do not
-	// depend on scheduling.
-	avgs := make([][]float64, len(variants))
-	pops := make([][][]float64, len(variants))
-	errs := make([][]error, len(variants))
-	var bestQ float64
-	var bestQOnce sync.Once
-	for v := range variants {
-		avgs[v] = make([]float64, reps[v])
-		pops[v] = make([][]float64, reps[v])
-		errs[v] = make([]error, reps[v])
-	}
-
-	// vctxs[v] starts as the variant's Ctx and is replaced by OnStart's
-	// return value under starts[v] (Once.Do gives later tasks of the
-	// same variant a happens-before edge to the write).
-	starts := make([]sync.Once, len(variants))
-	vctxs := make([]context.Context, len(variants))
-	for v := range variants {
-		vctxs[v] = variants[v].Ctx
+		st.ctx = variants[v].Ctx
 	}
 
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
+	if workers = min(workers, tasks); workers == 1 {
+		var w sweepWorker
+		r.each(func(tk task) { r.run(&w, tk) })
+	} else {
+		next := make(chan task)
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var w sweepWorker
+				for tk := range next {
+					r.run(&w, tk)
+				}
+			}()
+		}
+		r.each(func(tk task) { next <- tk })
+		close(next)
+		wg.Wait()
 	}
-	next := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker single-slot engine cache: consecutive tasks
-			// that share a (population size, engine) shape — above
-			// all, replications of one variant, which are contiguous
-			// in task order — reuse one group's buffers via Reset
-			// instead of re-allocating O(N + m) state per replication.
-			// One slot bounds retention (a sweep of many distinct
-			// large-N variants must not pin one engine per shape, the
-			// resource-exhaustion class the serving layer guards
-			// against) while capturing the dominant reuse. Reset
-			// replays a fresh group bit for bit (the template
-			// environment is the stateless IID Bernoulli), so
-			// scheduling order still cannot affect results.
-			var cached sweepGroupCache
-			var blockCached sweepBlockCache
-			for tk := range next {
-				v := &variants[tk.v]
-				// The gate wait watches the variant's ORIGINAL Ctx —
-				// vctxs[tk.v] may be concurrently replaced inside the
-				// first task's Once.Do, and only reads that happen
-				// after our own Do below are ordered against it.
-				if err := acquireGate(ctx, v.Ctx, opt.Gate); err != nil {
-					markTaskErr(errs[tk.v], tk.rep, tk.lanes, err)
-					continue
-				}
-				starts[tk.v].Do(func() {
-					if v.OnStart != nil {
-						if c := v.OnStart(); c != nil {
-							vctxs[tk.v] = c
-						}
-					}
-				})
-				if opt.Counters != nil {
-					opt.Counters.Tasks.Add(1)
-				}
-				// Span + timing cover the simulation work only: the gate
-				// wait and OnStart above are queueing, not engine cost.
-				sname, lanes := "sweep.task", 1
-				if tk.lanes > 0 {
-					sname, lanes = "sweep.block", tk.lanes
-				}
-				sid := v.Trace.Start(sname, v.Span)
-				v.Trace.SetAttr(sid, "replication", int64(tk.rep))
-				if tk.lanes > 0 {
-					v.Trace.SetAttr(sid, "lanes", int64(tk.lanes))
-				}
-				var t0 time.Time
-				if opt.OnTask != nil {
-					t0 = time.Now()
-				}
-				if tk.lanes > 0 {
-					eta1, err := runSweepBlock(ctx, vctxs[tk.v], tmpl, v, tk.rep, tk.lanes,
-						avgs[tk.v], pops[tk.v], &blockCached, opt.Counters)
-					elapsed := time.Since(t0)
-					v.Trace.End(sid)
-					if opt.Gate != nil {
-						<-opt.Gate
-					}
-					if err != nil {
-						markTaskErr(errs[tk.v], tk.rep, tk.lanes, err)
-						continue
-					}
-					if opt.OnTask != nil {
-						opt.OnTask(tk.v, lanes, elapsed)
-					}
-					bestQOnce.Do(func() { bestQ = eta1 })
-					continue
-				}
-				avg, pop, eta1, err := runSweepTask(ctx, vctxs[tk.v], tmpl, v, tk.rep, &cached, opt.Counters)
-				elapsed := time.Since(t0)
-				v.Trace.End(sid)
-				if opt.Gate != nil {
-					<-opt.Gate
-				}
-				if err != nil {
-					errs[tk.v][tk.rep] = err
-					continue
-				}
-				if opt.OnTask != nil {
-					opt.OnTask(tk.v, lanes, elapsed)
-				}
-				avgs[tk.v][tk.rep] = avg
-				pops[tk.v][tk.rep] = pop
-				bestQOnce.Do(func() { bestQ = eta1 })
-			}
-		}()
-	}
-	for _, tk := range tasks {
-		next <- tk
-	}
-	close(next)
-	wg.Wait()
 
 	out := make([]SweepResult, len(variants))
-	for v := range variants {
-		out[v] = mergeVariant(bestQ, avgs[v], pops[v], errs[v])
+	for v := range r.states {
+		out[v] = r.states[v].result()
 	}
 	return out, nil
+}
+
+// sweepRun is one RunSweep call's shared state.
+type sweepRun struct {
+	ctx      context.Context
+	tmpl     *core.Template
+	variants []SweepVariant
+	opt      SweepOptions
+	states   []variantState
+}
+
+// task is either one v1 replication (lanes == 0, seeded SeedFor(Seed,
+// rep)) or one v2 replication block covering replications [rep,
+// rep+lanes) of variant v.
+type task struct{ v, rep, lanes int }
+
+// each hands fn every task in variant order, replications ascending —
+// the order that keeps a variant's replications contiguous for the
+// worker engine caches. Tasks are generated, not materialized, so a
+// many-replication variant costs no task list.
+func (r *sweepRun) each(fn func(task)) {
+	for v := range r.states {
+		st := &r.states[v]
+		for rep := 0; rep < st.reps; {
+			tk := task{v: v, rep: rep}
+			if st.width > 0 {
+				tk.lanes = min(st.width, st.reps-rep)
+				rep += tk.lanes
+			} else {
+				rep++
+			}
+			fn(tk)
+		}
+	}
+}
+
+// run executes one task on worker w; the task's replications fold into
+// the variant's merge as they finish.
+func (r *sweepRun) run(w *sweepWorker, tk task) {
+	v, st := &r.variants[tk.v], &r.states[tk.v]
+	// The gate wait watches the variant's ORIGINAL Ctx — st.ctx may be
+	// concurrently replaced inside the first task's Once.Do, and only
+	// reads that happen after our own Do below are ordered against it.
+	if err := acquireGate(r.ctx, v.Ctx, r.opt.Gate); err != nil {
+		st.fail(tk.rep, err)
+		return
+	}
+	st.start.Do(func() {
+		if v.OnStart != nil {
+			if c := v.OnStart(); c != nil {
+				st.ctx = c
+			}
+		}
+	})
+	r.opt.Counters.Tasks.Add(1)
+	// Span + timing cover the simulation work only: the gate wait and
+	// OnStart above are queueing, not engine cost.
+	name, lanes := "replication", 1
+	if tk.lanes > 0 {
+		name, lanes = "replication.block", tk.lanes
+	}
+	sid := v.Trace.Start(name, v.Span)
+	v.Trace.SetAttr(sid, "replication", int64(tk.rep))
+	if tk.lanes > 0 {
+		v.Trace.SetAttr(sid, "lanes", int64(tk.lanes))
+	}
+	var t0 time.Time
+	if r.opt.OnTask != nil {
+		t0 = time.Now()
+	}
+	var err error
+	if tk.lanes > 0 {
+		err = r.runBlock(w, v, st, tk.rep, tk.lanes)
+	} else {
+		err = r.runSingle(w, v, st, tk.rep)
+	}
+	elapsed := time.Since(t0)
+	v.Trace.End(sid)
+	if r.opt.Gate != nil {
+		<-r.opt.Gate
+	}
+	if err != nil {
+		st.fail(tk.rep, err)
+		return
+	}
+	if r.opt.OnTask != nil {
+		r.opt.OnTask(tk.v, lanes, elapsed)
+	}
 }
 
 // acquireGate takes a slot on the shared gate, abandoning the wait if
@@ -362,179 +354,98 @@ func acquireGate(ctx, vctx context.Context, gate chan struct{}) error {
 	}
 }
 
-// groupKey identifies the engine shape a cached sweep group can be
-// Reset into serving: variants differing only in seed, steps, or
-// replications share buffers.
-type groupKey struct {
-	n      int
-	engine core.EngineKind
-}
-
-// sweepGroupCache is a worker's single cached group: the last shape it
-// ran. One slot bounds retained engine state to one group per worker
-// while still serving the dominant reuse pattern (contiguous
-// replications of one variant).
-type sweepGroupCache struct {
-	key groupKey
-	g   *core.Group
-}
-
-// sweepGroup returns a group for the variant shape, reusing the cached
-// one (Reset to the task's seed) when the worker just ran the same
-// shape.
-func sweepGroup(tmpl *core.Template, v *SweepVariant, seed uint64, cached *sweepGroupCache, ctrs *SweepCounters) (*core.Group, error) {
-	key := groupKey{n: v.N, engine: v.Engine}
-	if v.N == 0 {
-		key.engine = 0 // the infinite process ignores the engine axis
+// runSingle runs v1 replication rep of v, checking the sweep and
+// variant contexts every CheckEvery steps.
+func (r *sweepRun) runSingle(w *sweepWorker, v *SweepVariant, st *variantState, rep int) error {
+	if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+		return err
 	}
-	if cached.g != nil && cached.key == key {
-		if err := cached.g.Reset(seed); err == nil {
-			if ctrs != nil {
-				ctrs.EngineReuses.Add(1)
-			}
-			return cached.g, nil
-		}
-		// Un-resettable groups (cannot happen for template families,
-		// which are always IID Bernoulli) fall through to a rebuild.
-		cached.g = nil
-	}
-	g, err := tmpl.Group(v.N, v.Engine, seed)
+	g, err := w.group(r.tmpl, v, SeedFor(v.Seed, rep), r.opt.Counters)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("experiment: sweep replication %d: %w", rep, err)
 	}
-	if ctrs != nil {
-		ctrs.EngineBuilds.Add(1)
-	}
-	cached.key, cached.g = key, g
-	return g, nil
-}
-
-// markTaskErr records a task failure for every replication the task
-// covered: one slot for a v1 single (lanes == 0), the block's span for
-// a v2 block task.
-func markTaskErr(errs []error, rep, lanes int, err error) {
-	if lanes <= 0 {
-		errs[rep] = err
-		return
-	}
-	for k := 0; k < lanes; k++ {
-		errs[rep+k] = err
-	}
-}
-
-// blockKey identifies the shape a cached block group can be Reset into
-// serving. Width is part of the key: Reset keeps a block's lane count,
-// so a variant's tail block (fewer than BlockLanes replications) never
-// reuses the full-width group. Tail misses are at most one per
-// variant.
-type blockKey struct {
-	n      int
-	engine core.EngineKind
-	lanes  int
-}
-
-// sweepBlockCache is the v2 counterpart of sweepGroupCache: one cached
-// block group per worker, the last shape it ran.
-type sweepBlockCache struct {
-	key blockKey
-	g   *core.BlockGroup
-}
-
-// sweepBlock returns a block group for the variant shape at (seed,
-// lane0), reusing the worker's cached block via Reset when the shape
-// matches. Reset replays a fresh block bit for bit (template families
-// are always the stateless IID Bernoulli), so cache hits cannot affect
-// results.
-func sweepBlock(tmpl *core.Template, v *SweepVariant, lane0, lanes int, cached *sweepBlockCache, ctrs *SweepCounters) (*core.BlockGroup, error) {
-	key := blockKey{n: v.N, engine: v.Engine, lanes: lanes}
-	if v.N == 0 {
-		key.engine = 0 // the infinite process ignores the engine axis
-	}
-	if cached.g != nil && cached.key == key {
-		if err := cached.g.Reset(v.Seed, lane0); err == nil {
-			if ctrs != nil {
-				ctrs.EngineReuses.Add(1)
-			}
-			return cached.g, nil
-		}
-		cached.g = nil
-	}
-	g, err := tmpl.NewBlock(v.N, v.Engine, v.Seed, lane0, lanes)
-	if err != nil {
-		return nil, err
-	}
-	if ctrs != nil {
-		ctrs.EngineBuilds.Add(1)
-	}
-	cached.key, cached.g = key, g
-	return g, nil
-}
-
-// runSweepBlock runs one v2 replication block — lanes replications
-// [lane0, lane0+lanes) of one variant — writing each lane's results
-// into the variant's avgs/pops slots directly, so the merge path is
-// identical to v1's. A block step advances every lane, so the context
-// check interval shrinks by the lane count to keep cancellation
-// latency comparable in simulated work.
-func runSweepBlock(ctx, vctx context.Context, tmpl *core.Template, v *SweepVariant, lane0, lanes int, avgs []float64, pops [][]float64, cached *sweepBlockCache, ctrs *SweepCounters) (eta1 float64, err error) {
-	if err := sweepCtxErr(ctx, vctx); err != nil {
-		return 0, err
-	}
-	g, err := sweepBlock(tmpl, v, lane0, lanes, cached, ctrs)
-	if err != nil {
-		return 0, fmt.Errorf("experiment: sweep block at replication %d: %w", lane0, err)
-	}
-	checkEvery := v.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = defaultSweepCheckEvery
-	}
-	if checkEvery = checkEvery / lanes; checkEvery < 1 {
-		checkEvery = 1
-	}
-	for t := 1; t <= v.Steps; t++ {
-		if t%checkEvery == 0 {
-			if err := sweepCtxErr(ctx, vctx); err != nil {
-				return 0, err
-			}
-		}
-		if err := g.StepBlock(); err != nil {
-			return 0, fmt.Errorf("experiment: sweep block step %d: %w", t, err)
-		}
-	}
-	for k := 0; k < lanes; k++ {
-		avgs[lane0+k] = g.CumulativeGroupReward(k) / float64(v.Steps)
-		pops[lane0+k] = g.AppendPopularity(k, nil)
-	}
-	return g.BestQuality(), nil
-}
-
-// runSweepTask runs one replication of one variant, checking the sweep
-// and variant contexts every CheckEvery steps.
-func runSweepTask(ctx, vctx context.Context, tmpl *core.Template, v *SweepVariant, rep int, cached *sweepGroupCache, ctrs *SweepCounters) (avg float64, pop []float64, eta1 float64, err error) {
-	if err := sweepCtxErr(ctx, vctx); err != nil {
-		return 0, nil, 0, err
-	}
-	g, err := sweepGroup(tmpl, v, SeedFor(v.Seed, rep), cached, ctrs)
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("experiment: sweep replication %d: %w", rep, err)
-	}
-	checkEvery := v.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = defaultSweepCheckEvery
-	}
+	rec, row := trajectory(v, rep, g.Options())
+	every := checkEvery(v, 1)
 	var cum float64
 	for t := 1; t <= v.Steps; t++ {
-		if t%checkEvery == 0 {
-			if err := sweepCtxErr(ctx, vctx); err != nil {
-				return 0, nil, 0, err
+		if t%every == 0 {
+			if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+				return err
 			}
 		}
 		if err := g.Step(); err != nil {
-			return 0, nil, 0, fmt.Errorf("experiment: sweep step %d: %w", t, err)
+			return fmt.Errorf("experiment: sweep step %d: %w", t, err)
 		}
-		cum += g.GroupReward()
+		reward := g.GroupReward()
+		cum += reward
+		if rec != nil {
+			row[0], row[1] = float64(t), reward
+			if err := rec.Record(g.AppendPopularity(row[:2])...); err != nil {
+				return err
+			}
+		}
 	}
-	return cum / float64(v.Steps), g.Popularity(), g.BestQuality(), nil
+	w.pop = g.AppendPopularity(w.pop[:0])
+	st.add(rep, cum/float64(v.Steps), g.BestQuality(), w.pop)
+	return nil
+}
+
+// runBlock runs one v2 replication block — lanes replications [lane0,
+// lane0+lanes) of v — folding each lane into the merge exactly as a v1
+// replication would. A block step advances every lane, so the context
+// check interval shrinks by the lane count to keep cancellation
+// latency comparable in simulated work.
+func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, lane0, lanes int) error {
+	if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+		return err
+	}
+	g, err := w.block(r.tmpl, v, lane0, lanes, r.opt.Counters)
+	if err != nil {
+		return fmt.Errorf("experiment: sweep block at replication %d: %w", lane0, err)
+	}
+	rec, row := trajectory(v, lane0, g.Options())
+	every := checkEvery(v, lanes)
+	for t := 1; t <= v.Steps; t++ {
+		if t%every == 0 {
+			if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+				return err
+			}
+		}
+		if err := g.StepBlock(); err != nil {
+			return fmt.Errorf("experiment: sweep block step %d: %w", t, err)
+		}
+		if rec != nil {
+			row[0], row[1] = float64(t), g.GroupReward(0)
+			if err := rec.Record(g.AppendPopularity(0, row[:2])...); err != nil {
+				return err
+			}
+		}
+	}
+	for k := 0; k < lanes; k++ {
+		w.pop = g.AppendPopularity(k, w.pop[:0])
+		st.add(lane0+k, g.CumulativeGroupReward(k)/float64(v.Steps), g.BestQuality(), w.pop)
+	}
+	return nil
+}
+
+// checkEvery is v's context-check interval in steps of a task
+// advancing lanes replications together.
+func checkEvery(v *SweepVariant, lanes int) int {
+	every := v.CheckEvery
+	if every <= 0 {
+		every = defaultSweepCheckEvery
+	}
+	return max(every/lanes, 1)
+}
+
+// trajectory returns v's recorder and a row buffer (len 2, cap 2+m, so
+// the popularity vector appends in place) when the task starting at
+// replication rep records, and nil otherwise.
+func trajectory(v *SweepVariant, rep, m int) (*trace.Recorder, []float64) {
+	if rep != 0 || v.Trajectory == nil {
+		return nil, nil
+	}
+	return v.Trajectory, make([]float64, 2, 2+m)
 }
 
 // sweepCtxErr folds the sweep-wide and per-variant contexts.
@@ -548,36 +459,170 @@ func sweepCtxErr(ctx, vctx context.Context) error {
 	return nil
 }
 
-// mergeVariant folds one variant's replications in replication order —
-// the same accumulation sequence a serial per-variant run performs, so
-// the merged scalars are bit-identical to the unbatched path.
-func mergeVariant(bestQ float64, avgs []float64, pops [][]float64, errs []error) SweepResult {
-	for _, err := range errs {
-		if err != nil {
-			return SweepResult{Err: err}
-		}
+// sweepWorker is one worker's reusable state. Its single-slot engine
+// caches let consecutive tasks that share a shape — above all the
+// replications of one variant, contiguous in task order — reuse one
+// group's (or block's) buffers via Reset instead of re-allocating
+// O(N + m) state per task. One slot bounds retention (a sweep of many
+// distinct large-N variants must not pin one engine per shape, the
+// resource-exhaustion class the serving layer guards against) while
+// capturing the dominant reuse. Reset replays a fresh group bit for
+// bit (template environments are the stateless IID Bernoulli), so
+// scheduling order cannot affect results.
+type sweepWorker struct {
+	gKey shapeKey
+	g    *core.Group
+	bKey shapeKey
+	b    *core.BlockGroup
+	pop  []float64 // popularity scratch handed to the merge
+}
+
+// shapeKey identifies the engine shape a cached group or block can be
+// Reset into serving: variants differing only in seed, steps, or
+// replications share buffers. Width is part of a block's key: Reset
+// keeps a block's lane count, so a variant's tail block (fewer than
+// BlockLanes replications) never reuses the full-width group — at
+// most one miss per variant.
+type shapeKey struct {
+	n      int
+	engine core.EngineKind
+	lanes  int
+}
+
+func shapeOf(v *SweepVariant, lanes int) shapeKey {
+	if v.N == 0 {
+		return shapeKey{lanes: lanes} // the infinite process ignores the engine axis
 	}
-	var regrets stats.Summary
-	var rewardMean float64
-	var popSum []float64
-	for rep := range avgs {
-		regrets.Add(bestQ - avgs[rep])
-		rewardMean += (avgs[rep] - rewardMean) / float64(rep+1)
-		if popSum == nil {
-			popSum = make([]float64, len(pops[rep]))
-		}
-		for j := range pops[rep] {
-			popSum[j] += pops[rep][j]
-		}
+	return shapeKey{n: v.N, engine: v.Engine, lanes: lanes}
+}
+
+// group returns a group for v's shape seeded seed, reusing the cached
+// one when the worker just ran the same shape.
+func (w *sweepWorker) group(tmpl *core.Template, v *SweepVariant, seed uint64, ctrs *SweepCounters) (*core.Group, error) {
+	key := shapeOf(v, 0)
+	if w.g != nil && w.gKey == key && w.g.Reset(seed) == nil {
+		ctrs.EngineReuses.Add(1)
+		return w.g, nil
 	}
-	for j := range popSum {
-		popSum[j] /= float64(len(avgs))
+	w.g = nil
+	g, err := tmpl.Group(v.N, v.Engine, seed)
+	if err != nil {
+		return nil, err
+	}
+	ctrs.EngineBuilds.Add(1)
+	w.gKey, w.g = key, g
+	return g, nil
+}
+
+// block returns a block for v's shape at (Seed, lane0), reusing the
+// cached one when the worker just ran the same shape.
+func (w *sweepWorker) block(tmpl *core.Template, v *SweepVariant, lane0, lanes int, ctrs *SweepCounters) (*core.BlockGroup, error) {
+	key := shapeOf(v, lanes)
+	if w.b != nil && w.bKey == key && w.b.Reset(v.Seed, lane0) == nil {
+		ctrs.EngineReuses.Add(1)
+		return w.b, nil
+	}
+	w.b = nil
+	b, err := tmpl.NewBlock(v.N, v.Engine, v.Seed, lane0, lanes)
+	if err != nil {
+		return nil, err
+	}
+	ctrs.EngineBuilds.Add(1)
+	w.bKey, w.b = key, b
+	return b, nil
+}
+
+// variantState is one variant's progress: its lazily started context
+// and the running merge of its finished replications.
+type variantState struct {
+	reps  int // replications to run (at least 1)
+	width int // v2 block width; 0 schedules v1 single replications
+
+	start sync.Once
+	ctx   context.Context // the variant's Ctx, replaced by OnStart's under start
+
+	mu      sync.Mutex
+	merged  int               // replications folded so far
+	parked  map[int]parkedRep // finished ahead of the merge cursor
+	bestQ   float64
+	regrets stats.Summary
+	reward  float64 // running mean of the time-averaged group reward
+	popSum  []float64
+	err     error
+	errRep  int
+}
+
+// parkedRep is one replication's outcome waiting for its turn to merge.
+type parkedRep struct {
+	avg float64
+	pop []float64
+}
+
+// add folds replication rep into the merge. Replications finish in any
+// order across workers but fold strictly in replication order — the
+// accumulation sequence of a serial per-variant run — so the merged
+// scalars are bit-identical to running the variant alone, whatever the
+// scheduling. One that finishes ahead of the cursor is parked (pop is
+// the worker's scratch, so it is copied) until the gap fills; a serial
+// run never parks, so it merges in O(m) memory however many
+// replications it runs.
+func (st *variantState) add(rep int, avg, bestQ float64, pop []float64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.err != nil {
+		return
+	}
+	st.bestQ = bestQ
+	if rep != st.merged {
+		if st.parked == nil {
+			st.parked = make(map[int]parkedRep)
+		}
+		st.parked[rep] = parkedRep{avg, append([]float64(nil), pop...)}
+		return
+	}
+	for {
+		st.regrets.Add(bestQ - avg)
+		st.merged++
+		st.reward += (avg - st.reward) / float64(st.merged)
+		if st.popSum == nil {
+			st.popSum = make([]float64, len(pop))
+		}
+		for j, p := range pop {
+			st.popSum[j] += p
+		}
+		next, ok := st.parked[st.merged]
+		if !ok {
+			return
+		}
+		delete(st.parked, st.merged)
+		avg, pop = next.avg, next.pop
+	}
+}
+
+// fail records a task failure. The variant reports its lowest failed
+// replication's error — the one a serial run would have met first.
+func (st *variantState) fail(rep int, err error) {
+	st.mu.Lock()
+	if st.err == nil || rep < st.errRep {
+		st.err, st.errRep = err, rep
+	}
+	st.parked = nil
+	st.mu.Unlock()
+}
+
+// result is the variant's outcome once every task has finished.
+func (st *variantState) result() SweepResult {
+	if st.err != nil {
+		return SweepResult{Err: st.err}
+	}
+	for j := range st.popSum {
+		st.popSum[j] /= float64(st.merged)
 	}
 	return SweepResult{
-		BestQuality:        bestQ,
-		AverageGroupReward: rewardMean,
-		Regret:             regrets.Mean(),
-		RegretStdDev:       regrets.StdDev(),
-		Popularity:         popSum,
+		BestQuality:        st.bestQ,
+		AverageGroupReward: st.reward,
+		Regret:             st.regrets.Mean(),
+		RegretStdDev:       st.regrets.StdDev(),
+		Popularity:         st.popSum,
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // serialVariant reproduces the unbatched per-variant execution: one
@@ -66,49 +68,52 @@ func serialVariant(t *testing.T, proto core.Config, v SweepVariant) SweepResult 
 
 // TestRunSweepBitIdentical checks the batched sweep reproduces the
 // serial per-variant path exactly across engines, population sizes,
-// horizons, and replication counts.
+// horizons, and replication counts, and for a ring-network family.
 func TestRunSweepBitIdentical(t *testing.T) {
 	t.Parallel()
 
-	proto := core.Config{Qualities: []float64{0.9, 0.5, 0.5}, Beta: 0.7}
-	variants := []SweepVariant{
-		{N: 1000, Steps: 300, Seed: 1},
-		{N: 10_000, Steps: 150, Seed: 2, Replications: 3},
-		{N: 200, Engine: core.EngineAgent, Steps: 200, Seed: 3},
-		{N: 0, Steps: 250, Seed: 4}, // infinite-population process
-		{N: 5000, Steps: 100, Seed: 1, Replications: 2},
+	families := []struct {
+		proto    core.Config
+		variants []SweepVariant
+	}{
+		{core.Config{Qualities: []float64{0.9, 0.5, 0.5}, Beta: 0.7}, []SweepVariant{
+			{N: 1000, Steps: 300, Seed: 1},
+			{N: 10_000, Steps: 150, Seed: 2, Replications: 3},
+			{N: 200, Engine: core.EngineAgent, Steps: 200, Seed: 3},
+			{N: 0, Steps: 250, Seed: 4}, // infinite-population process
+			{N: 5000, Steps: 100, Seed: 1, Replications: 2},
+		}},
+		{core.Config{Qualities: []float64{0.9, 0.5, 0.5}, Beta: 0.7, Network: ringGraph(t, 40)}, []SweepVariant{
+			{Steps: 200, Seed: 5, Replications: 3},
+			{Steps: 120, Seed: 6},
+		}},
 	}
-	results, err := RunSweep(context.Background(), proto, variants, SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(variants) {
-		t.Fatalf("got %d results for %d variants", len(results), len(variants))
-	}
-	for i, v := range variants {
-		got := results[i]
-		if got.Err != nil {
-			t.Fatalf("variant %d: %v", i, got.Err)
+	for f, fam := range families {
+		results, err := RunSweep(context.Background(), fam.proto, fam.variants, SweepOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := serialVariant(t, proto, v)
-		if got.Regret != want.Regret {
-			t.Errorf("variant %d regret %v, want %v", i, got.Regret, want.Regret)
+		if len(results) != len(fam.variants) {
+			t.Fatalf("family %d: got %d results for %d variants", f, len(results), len(fam.variants))
 		}
-		if got.AverageGroupReward != want.AverageGroupReward {
-			t.Errorf("variant %d reward %v, want %v", i, got.AverageGroupReward, want.AverageGroupReward)
-		}
-		if got.RegretStdDev != want.RegretStdDev {
-			t.Errorf("variant %d stddev %v, want %v", i, got.RegretStdDev, want.RegretStdDev)
-		}
-		if got.BestQuality != want.BestQuality {
-			t.Errorf("variant %d bestQ %v, want %v", i, got.BestQuality, want.BestQuality)
-		}
-		for j := range want.Popularity {
-			if got.Popularity[j] != want.Popularity[j] {
-				t.Errorf("variant %d popularity[%d] = %v, want %v", i, j, got.Popularity[j], want.Popularity[j])
+		for i, v := range fam.variants {
+			want := serialVariant(t, fam.proto, v)
+			assertSweepResultEqual(t, fmt.Sprintf("family %d variant %d", f, i), results[i], want)
+			if results[i].BestQuality != want.BestQuality {
+				t.Errorf("family %d variant %d bestQ %v, want %v", f, i, results[i].BestQuality, want.BestQuality)
 			}
 		}
 	}
+}
+
+// ringGraph builds an n-node ring for network-family sweeps.
+func ringGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	g, err := graph.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestRunSweepPerVariantCancel cancels one variant and checks the
@@ -327,8 +332,8 @@ func assertSweepResultEqual(t *testing.T, label string, got, want SweepResult) {
 // TestRunSweepV2BlockScheduling checks v2 variants produce results bit
 // identical to the single-lane serial reference — i.e. block width and
 // worker count are invisible — including a replication count that does
-// not divide BlockLanes (forcing a tail block) and a mixed v1/v2 sweep
-// in one call.
+// not divide BlockLanes (forcing a tail block), a mixed v1/v2 sweep in
+// one call, and a ring-network family.
 func TestRunSweepV2BlockScheduling(t *testing.T) {
 	t.Parallel()
 
@@ -342,6 +347,12 @@ func TestRunSweepV2BlockScheduling(t *testing.T) {
 		// disturb either path.
 		{N: 200, Engine: core.EngineAgent, Steps: 60, Seed: 1, Replications: 3, DrawOrder: "v1"},
 	}
+	ring := proto
+	ring.Network = ringGraph(t, 40)
+	ringVariants := []SweepVariant{
+		{Steps: 80, Seed: 4, Replications: 5, DrawOrder: "v2"},
+		{Steps: 60, Seed: 5, Replications: 2, DrawOrder: "v1"},
+	}
 	for _, workers := range []int{1, 4} {
 		results, err := RunSweep(context.Background(), proto, variants, SweepOptions{Workers: workers})
 		if err != nil {
@@ -353,6 +364,132 @@ func TestRunSweepV2BlockScheduling(t *testing.T) {
 		}
 		assertSweepResultEqual(t, fmt.Sprintf("workers=%d v1 variant", workers),
 			results[3], serialVariant(t, proto, variants[3]))
+
+		results, err = RunSweep(context.Background(), ring, ringVariants, SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSweepResultEqual(t, fmt.Sprintf("workers=%d ring v2", workers),
+			results[0], serialVariantV2(t, ring, ringVariants[0]))
+		assertSweepResultEqual(t, fmt.Sprintf("workers=%d ring v1", workers),
+			results[1], serialVariant(t, ring, ringVariants[1]))
+	}
+}
+
+// TestRunSweepNetworkBlockWidth pins the v2 block width per family: a
+// network family runs one lane per block (its blocks keep one dynamics
+// state per lane, so width multiplies memory), every other family
+// BlockLanes lanes — visible as the task count.
+func TestRunSweepNetworkBlockWidth(t *testing.T) {
+	t.Parallel()
+
+	const reps = 5
+	plain := core.Config{Qualities: []float64{0.8, 0.4}, Beta: 0.65}
+	ring := plain
+	ring.Network = ringGraph(t, 16)
+	for _, tc := range []struct {
+		name  string
+		proto core.Config
+		tasks uint64
+	}{
+		{"plain", plain, (reps + BlockLanes - 1) / BlockLanes},
+		{"ring", ring, reps},
+	} {
+		var ctrs SweepCounters
+		v := SweepVariant{N: 100, Steps: 30, Seed: 3, Replications: reps, DrawOrder: "v2"}
+		results, err := RunSweep(context.Background(), tc.proto, []SweepVariant{v},
+			SweepOptions{Workers: 1, Counters: &ctrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ctrs.Tasks.Load(); got != tc.tasks {
+			t.Errorf("%s: %d tasks for %d v2 replications, want %d", tc.name, got, reps, tc.tasks)
+		}
+		assertSweepResultEqual(t, tc.name, results[0], serialVariantV2(t, tc.proto, v))
+	}
+}
+
+// TestRunSweepTrajectory checks the trajectory sink: replication 0's
+// per-step rows (lane 0 of the first block under v2) equal a direct
+// core run's, whatever the replication count, worker count, or
+// family.
+func TestRunSweepTrajectory(t *testing.T) {
+	t.Parallel()
+
+	plain := core.Config{Qualities: []float64{0.9, 0.5, 0.5}, Beta: 0.7}
+	ring := plain
+	ring.Network = ringGraph(t, 24)
+	const steps, every = 50, 7
+	for _, tc := range []struct {
+		name  string
+		proto core.Config
+		v     SweepVariant
+	}{
+		{"aggregate v1", plain, SweepVariant{N: 1000, Steps: steps, Seed: 2, Replications: 3}},
+		{"agent v2", plain, SweepVariant{N: 100, Engine: core.EngineAgent, Steps: steps, Seed: 3, Replications: 3, DrawOrder: "v2"}},
+		{"ring v1", ring, SweepVariant{Steps: steps, Seed: 4, Replications: 2}},
+		{"ring v2", ring, SweepVariant{Steps: steps, Seed: 5, Replications: 2, DrawOrder: "v2"}},
+	} {
+		cols := append([]string{"t", "group_reward"}, trace.VectorColumns("q", 3)...)
+		rec, err := trace.NewRecorder(every, cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := tc.v
+		v.Trajectory = rec
+		results, err := RunSweep(context.Background(), tc.proto, []SweepVariant{v}, SweepOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[0].Err != nil {
+			t.Fatal(results[0].Err)
+		}
+
+		// Reference: replication 0 stepped directly, every row kept.
+		cfg := tc.proto
+		cfg.N, cfg.Engine = v.N, v.Engine
+		var step func() (reward float64, pop []float64)
+		if v.DrawOrder == "v2" {
+			cfg.Seed = v.Seed
+			b, err := core.NewBlock(cfg, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step = func() (float64, []float64) {
+				if err := b.StepBlock(); err != nil {
+					t.Fatal(err)
+				}
+				return b.GroupReward(0), b.AppendPopularity(0, nil)
+			}
+		} else {
+			cfg.Seed = SeedFor(v.Seed, 0)
+			g, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step = func() (float64, []float64) {
+				if err := g.Step(); err != nil {
+					t.Fatal(err)
+				}
+				return g.GroupReward(), g.Popularity()
+			}
+		}
+		if got, want := rec.Len(), (steps+every-1)/every; got != want {
+			t.Fatalf("%s: %d rows, want %d", tc.name, got, want)
+		}
+		for s := 1; s <= steps; s++ {
+			reward, pop := step()
+			if (s-1)%every != 0 {
+				continue
+			}
+			want := append([]float64{float64(s), reward}, pop...)
+			got := rec.Row((s - 1) / every)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s: row t=%d col %d = %v, want %v", tc.name, s, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }
 
@@ -416,5 +553,39 @@ func TestRunSweepRejectsUnknownDrawOrder(t *testing.T) {
 		[]SweepVariant{{N: 10, Steps: 10, Seed: 1, DrawOrder: "v3"}}, SweepOptions{})
 	if !errors.Is(err, ErrBadOptions) {
 		t.Errorf("unknown draw order accepted: %v", err)
+	}
+}
+
+// TestRunSweepMergeOrder pins the streaming merge: replications that
+// finish out of order fold exactly as they would in order, bit for
+// bit, even though each arrives in a scratch buffer its worker reuses;
+// a failed variant reports its lowest failed replication's error.
+func TestRunSweepMergeOrder(t *testing.T) {
+	t.Parallel()
+
+	avgs := []float64{0.71, 0.64, 0.69, 0.58, 0.73}
+	pops := [][]float64{{0.5, 0.3, 0.2}, {0.4, 0.4, 0.2}, {0.6, 0.3, 0.1}, {0.2, 0.5, 0.3}, {0.7, 0.2, 0.1}}
+	merge := func(order []int) SweepResult {
+		var st variantState
+		scratch := make([]float64, 3)
+		for _, rep := range order {
+			copy(scratch, pops[rep])
+			st.add(rep, avgs[rep], 0.9, scratch)
+		}
+		return st.result()
+	}
+	want := merge([]int{0, 1, 2, 3, 4})
+	for _, order := range [][]int{{4, 3, 2, 1, 0}, {1, 0, 3, 2, 4}, {2, 4, 0, 3, 1}} {
+		assertSweepResultEqual(t, fmt.Sprint(order), merge(order), want)
+	}
+
+	var st variantState
+	st.add(1, avgs[1], 0.9, pops[1])
+	late, early := errors.New("late"), errors.New("early")
+	st.fail(3, late)
+	st.fail(2, early)
+	st.add(0, avgs[0], 0.9, pops[0])
+	if res := st.result(); res.Err != early {
+		t.Errorf("failed variant Err = %v, want the lowest failed replication's %v", res.Err, early)
 	}
 }

@@ -63,9 +63,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // childValue reads a scalar child: function-backed children are read
 // at scrape time, atomic children from their own storage.
 func childValue(c *child) float64 {
+	if fn := c.fn.Load(); fn != nil {
+		return (*fn)()
+	}
 	switch {
-	case c.fn != nil:
-		return c.fn()
 	case c.counter != nil:
 		return float64(c.counter.Value())
 	case c.gauge != nil:

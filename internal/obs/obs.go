@@ -115,7 +115,10 @@ type child struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64
+	// fn backs a function child. It is atomic because scrapes read it
+	// concurrently with registration, which publishes the child first
+	// and may later replace fn.
+	fn atomic.Pointer[func() float64]
 }
 
 // family is every metric sharing one name: HELP/TYPE metadata, the
@@ -201,6 +204,18 @@ func (f *family) get(values []string, mk func() *child) *child {
 	return c
 }
 
+// setFn backs the child for the given label values with fn, creating
+// it on first use — with fn already set, so no scrape reads a new
+// child without it — and replacing any previous fn.
+func (f *family) setFn(values []string, fn func() float64) {
+	c := f.get(values, func() *child {
+		c := &child{}
+		c.fn.Store(&fn)
+		return c
+	})
+	c.fn.Store(&fn)
+}
+
 // snapshot returns the children sorted by label values for stable
 // exposition.
 func (f *family) snapshot() []*child {
@@ -229,7 +244,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 // own atomics. Re-registering replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.family(name, help, KindCounter, nil, nil)
-	f.get(nil, func() *child { return &child{} }).fn = fn
+	f.setFn(nil, fn)
 }
 
 // Gauge registers (or returns) the unlabeled gauge name.
@@ -241,7 +256,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.family(name, help, KindGauge, nil, nil)
-	f.get(nil, func() *child { return &child{} }).fn = fn
+	f.setFn(nil, fn)
 }
 
 // Histogram registers (or returns) the unlabeled histogram name with
@@ -270,7 +285,7 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 // WithFunc backs the child for the given label values with a
 // scrape-time read of fn (replacing any previous fn).
 func (v *CounterVec) WithFunc(fn func() float64, labelValues ...string) {
-	v.f.get(labelValues, func() *child { return &child{} }).fn = fn
+	v.f.setFn(labelValues, fn)
 }
 
 // GaugeVec declares a labeled gauge family.
@@ -289,7 +304,7 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 // WithFunc backs the child for the given label values with a
 // scrape-time read of fn.
 func (v *GaugeVec) WithFunc(fn func() float64, labelValues ...string) {
-	v.f.get(labelValues, func() *child { return &child{} }).fn = fn
+	v.f.setFn(labelValues, fn)
 }
 
 // HistogramVec declares a labeled histogram family; every child

@@ -2,8 +2,12 @@ package obs
 
 import (
 	"context"
+	"io"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -122,5 +126,68 @@ func TestRequestIDs(t *testing.T) {
 	}
 	if got := RequestID(context.Background()); got != "" {
 		t.Errorf("empty context RequestID = %q", got)
+	}
+}
+
+// TestFuncChildrenRegisterWhileCollecting registers fresh
+// function-backed children — the step-cost profiler's lazy first-sample
+// registration — while other goroutines collect and scrape. Under
+// -race this pins that a child's fn is published safely: a scrape may
+// see a new child before, or after, its registration, but never reads
+// fn while it is written.
+func TestFuncChildrenRegisterWhileCollecting(t *testing.T) {
+	t.Parallel()
+
+	r := NewRegistry()
+	cv := r.CounterVec("func_total", "function-backed counters", "cell")
+	gv := r.GaugeVec("func_gauge", "function-backed gauges", "cell")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var snap *Snapshot
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			snap = r.Collect(snap, time.Now())
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		cell := strconv.Itoa(i)
+		v := float64(i)
+		cv.WithFunc(func() float64 { return v }, cell)
+		gv.WithFunc(func() float64 { return -v }, cell)
+		r.CounterFunc("func_single_total", "a re-registered function counter", func() float64 { return v })
+		r.GaugeFunc("func_single", "a re-registered function gauge", func() float64 { return v })
+	}
+	close(done)
+	wg.Wait()
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`func_total{cell="499"} 499`, `func_gauge{cell="7"} -7`, "func_single 499"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

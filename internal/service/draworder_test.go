@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -20,76 +19,26 @@ func v2Spec() Spec {
 }
 
 // TestRunSpecV2MatchesBlockReference pins the serving path against the
-// core seam: runSpec on a v2 spec must equal the single-lane-block
-// reference merged in replication order — the same chunk-invariance
+// core seam: a v2 spec run through the scheduler — as replication
+// blocks wider than one lane — must equal the single-lane-block
+// reference merged in replication order, the same chunk-invariance
 // contract the lower layers pin, here through the report arithmetic.
 func TestRunSpecV2MatchesBlockReference(t *testing.T) {
 	t.Parallel()
 
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4})
 	spec := v2Spec()
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	hash, err := spec.Hash()
+	job, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := runSpec(context.Background(), &spec, hash, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: one width-1 block per replication, v1 merge arithmetic.
-	var regrets stats.Summary
-	var rewardMean, bestQ float64
-	popSum := make([]float64, len(spec.Qualities))
-	for rep := 0; rep < spec.Replications; rep++ {
-		g, err := spec.newBlockGroup(spec.Seed, rep, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < spec.Steps; s++ {
-			if err := g.StepBlock(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		avg := g.CumulativeGroupReward(0) / float64(spec.Steps)
-		bestQ = g.BestQuality()
-		rewardMean += (avg - rewardMean) / float64(rep+1)
-		regrets.Add(bestQ - avg)
-		pop := g.AppendPopularity(0, nil)
-		for j := range pop {
-			popSum[j] += pop[j]
-		}
-	}
-	if math.Float64bits(got.AverageGroupReward) != math.Float64bits(rewardMean) {
-		t.Errorf("v2 reward %v, want single-lane reference %v", got.AverageGroupReward, rewardMean)
-	}
-	if math.Float64bits(got.Regret) != math.Float64bits(regrets.Mean()) ||
-		math.Float64bits(got.RegretStdDev) != math.Float64bits(regrets.StdDev()) {
-		t.Errorf("v2 regret %v±%v, want %v±%v", got.Regret, got.RegretStdDev, regrets.Mean(), regrets.StdDev())
-	}
-	if got.BestQuality != bestQ {
-		t.Errorf("v2 best quality %v, want %v", got.BestQuality, bestQ)
-	}
-	for j := range popSum {
-		want := popSum[j] / float64(spec.Replications)
-		if math.Float64bits(got.Popularity[j]) != math.Float64bits(want) {
-			t.Errorf("v2 popularity[%d] = %v, want %v", j, got.Popularity[j], want)
-		}
-	}
+	got := waitDone(t, "v2 spec", job)
+	assertReportsEqual(t, "v2 spec", got, referenceReport(t, spec))
 
 	// And it must NOT reproduce the v1 report for the same parameters.
 	v1 := spec
 	v1.DrawOrder = ""
-	h1, err := v1.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, _, err := runSpec(context.Background(), &v1, h1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep1 := referenceReport(t, v1)
 	if math.Float64bits(rep1.AverageGroupReward) == math.Float64bits(got.AverageGroupReward) {
 		t.Error("v2 report reproduced the v1 reward — the contracts must be distinct")
 	}
@@ -124,14 +73,8 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 
 	v1 := validSpec()
 	v1.Replications = 3
-	h1, err := v1.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, _, err := runSpec(context.Background(), &v1, h1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep1 := referenceReport(t, v1)
+	h1 := rep1.SpecHash
 
 	cache := open()
 	cache.Put(h1, rep1)
@@ -173,19 +116,16 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 	if _, ok := cache.Get(h2); ok {
 		t.Fatal("v2 key unexpectedly present in a store that only saw v1")
 	}
-	rep2, _, err := runSpec(context.Background(), &v2, h2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := referenceReport(t, v2)
 	if math.Float64bits(rep2.AverageGroupReward) == math.Float64bits(rep1.AverageGroupReward) {
 		t.Error("v2 computation reproduced the persisted v1 reward")
 	}
 }
 
 // TestSchedulerRunsV2EndToEnd submits a v2 spec and a v2 sweep through
-// the scheduler and checks both agree with the direct runSpec path —
-// the wiring test that DrawOrder survives Submit, coalescing keys, and
-// the sweep variant mapping.
+// the scheduler and checks both agree with the reference — the wiring
+// test that DrawOrder survives Submit, coalescing keys, and the sweep
+// variant mapping.
 func TestSchedulerRunsV2EndToEnd(t *testing.T) {
 	t.Parallel()
 
@@ -203,10 +143,7 @@ func TestSchedulerRunsV2EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := runSpec(context.Background(), &spec, hash, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceReport(t, spec)
 
 	job, err := sched.Submit(spec)
 	if err != nil {

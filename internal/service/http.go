@@ -326,6 +326,30 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (Spec, strin
 	return spec, hash, true
 }
 
+// decodeSweep reads, validates, and hashes a sweep request body,
+// returning the sweep's hash and each variant's single-spec hash.
+func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (SweepSpec, string, []string, bool) {
+	var sweep SweepSpec
+	if !s.decodeStrict(w, r, &sweep) {
+		return SweepSpec{}, "", nil, false
+	}
+	if err := sweep.Validate(); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return SweepSpec{}, "", nil, false
+	}
+	hash, err := sweep.Hash()
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return SweepSpec{}, "", nil, false
+	}
+	hashes, err := sweep.variantHashes()
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return SweepSpec{}, "", nil, false
+	}
+	return sweep, hash, hashes, true
+}
+
 // simulateResponse wraps the report for the synchronous endpoint.
 type simulateResponse struct {
 	Cached bool `json:"cached"`
@@ -455,27 +479,10 @@ type sweepResponse struct {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr, root := span.FromContext(r.Context())
 	vs := tr.Start("validate", root)
-	var sweep SweepSpec
-	if !s.decodeStrict(w, r, &sweep) {
-		tr.End(vs)
-		return
-	}
-	if err := sweep.Validate(); err != nil {
-		tr.End(vs)
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	sweepHash, err := sweep.Hash()
-	if err != nil {
-		tr.End(vs)
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	hashes, err := sweep.variantHashes()
+	sweep, sweepHash, hashes, ok := s.decodeSweep(w, r)
 	tr.SetAttr(vs, "variants", int64(len(sweep.Variants)))
 	tr.End(vs)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !ok {
 		return
 	}
 
@@ -718,9 +725,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	rec := job.Trace()
 	switch job.Status() {
 	case JobDone:
-		rec := job.Trace()
 		if rec == nil {
 			s.writeError(w, r, http.StatusNotFound,
 				fmt.Errorf("service: job %s recorded no trace; submit with trace_every > 0", job.ID()))
@@ -737,7 +744,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: job %s is %s and has no trace", job.ID(), job.Status()))
 		return
 	}
-	if !job.TraceRequested() {
+	if rec == nil {
 		s.writeError(w, r, http.StatusNotFound,
 			fmt.Errorf("service: job %s records no trace; submit with trace_every > 0", job.ID()))
 		return
@@ -749,10 +756,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// drain writes every row recorded since the last call; a write
 	// error means the client hung up.
 	drain := func() bool {
-		rec := job.LiveTrace()
-		if rec == nil {
-			return true
-		}
 		n, err := rec.WriteNDJSONFrom(w, next)
 		next += n
 		if err != nil {

@@ -669,16 +669,28 @@ func TestSimulateJobTimeoutResponds504(t *testing.T) {
 // endpoint blocking (409) until completion: a running job's rows must
 // arrive over GET /v1/jobs/{id}/trace incrementally, with the first
 // lines readable while the job is still running, and the stream must
-// end cleanly when the job does.
+// end cleanly when the job does — under v1, v2, and a topology.
 func TestTraceStreamsWhileRunning(t *testing.T) {
 	t.Parallel()
 
 	ts, sched, _ := testServer(t, SchedulerConfig{Workers: 1, QueueDepth: 2}, 4)
-	// A deliberately long job (~seconds of simulated work) tracing
+	// Deliberately long jobs (~seconds of simulated work) tracing
 	// every 1000 steps, so early rows exist milliseconds in while the
 	// job keeps running long after.
-	body := `{"n": 1000, "qualities": [0.9, 0.5], "beta": 0.7, "steps": 40000000, "seed": 41, "trace_every": 1000}`
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
+	for _, body := range []string{
+		`{"n": 1000, "qualities": [0.9, 0.5], "beta": 0.7, "steps": 40000000, "seed": 41, "trace_every": 1000}`,
+		`{"n": 1000, "qualities": [0.9, 0.5], "beta": 0.7, "steps": 40000000, "seed": 41, "trace_every": 1000, "draw_order": "v2"}`,
+		`{"qualities": [0.9, 0.5], "beta": 0.7, "steps": 40000000, "seed": 41, "trace_every": 1000, "topology": {"kind": "ring", "nodes": 100}}`,
+	} {
+		streamWhileRunning(t, ts.URL, sched, body)
+	}
+}
+
+// streamWhileRunning submits one long traced job, reads its first rows
+// while it runs, then cancels it and checks the stream ends.
+func streamWhileRunning(t *testing.T, url string, sched *Scheduler, body string) {
+	t.Helper()
+	resp, raw := postJSON(t, url+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d (%s)", resp.StatusCode, raw)
 	}
@@ -692,13 +704,13 @@ func TestTraceStreamsWhileRunning(t *testing.T) {
 	}
 	defer job.Cancel()
 
-	tresp, err := http.Get(ts.URL + "/v1/jobs/" + submitted.ID + "/trace")
+	tresp, err := http.Get(url + "/v1/jobs/" + submitted.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tresp.Body.Close()
 	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("trace status %d, want 200 while running", tresp.StatusCode)
+		t.Fatalf("%s: trace status %d, want 200 while running", body, tresp.StatusCode)
 	}
 	if ct := tresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("trace content type %q", ct)
@@ -717,16 +729,16 @@ func TestTraceStreamsWhileRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ts0) < 3 {
-		t.Fatal("stream ended before delivering early rows")
+		t.Fatalf("%s: stream ended before delivering early rows", body)
 	}
 	// The load-bearing assertion: rows arrived while the job was
 	// still running, i.e. the stream is incremental, not post-hoc.
 	if st := job.Status(); st != JobRunning {
-		t.Fatalf("job already %s after first rows; cannot prove streaming", st)
+		t.Fatalf("%s: job already %s after first rows; cannot prove streaming", body, st)
 	}
 	for i, want := range []float64{1, 1001, 2001} {
 		if ts0[i] != want {
-			t.Errorf("row %d t=%v, want %v", i, ts0[i], want)
+			t.Errorf("%s: row %d t=%v, want %v", body, i, ts0[i], want)
 		}
 	}
 
@@ -741,7 +753,7 @@ func TestTraceStreamsWhileRunning(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("trace stream did not end after job terminated")
+		t.Fatalf("%s: trace stream did not end after job terminated", body)
 	}
 }
 

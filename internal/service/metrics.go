@@ -41,7 +41,7 @@ import (
 //	reprod_sched_coalesced_jobs_total             counter   jobs executed inside coalesced batches
 //	reprod_sched_solo_jobs_total                  counter   jobs executed individually
 //	reprod_core_draw_order{version}               gauge     info: draw-order versions executed (v1|v2)
-//	reprod_sweep_tasks_total                      counter   (variant, replication) tasks fanned out
+//	reprod_sweep_tasks_total                      counter   replication tasks begun, every job kind
 //	reprod_sweep_engine_reuses_total              counter   tasks served by Reset-ing a cached engine
 //	reprod_sweep_engine_builds_total              counter   tasks that built a fresh engine
 //	reprod_cache_requests_total{result}           counter   cache outcomes: hit|miss|wait
@@ -113,8 +113,8 @@ type schedMetrics struct {
 
 	// stepCost folds real run timings into per-(engine, draw_order)
 	// ns/step estimates — the measured signal the calibrated-admission
-	// control loop consumes. Fed from the solo run path and both
-	// RunSweep call sites.
+	// control loop consumes. Fed by RunSweep's OnTask at both call
+	// sites.
 	stepCost *obs.StepCostProfiler
 }
 
@@ -186,10 +186,11 @@ func newSchedMetrics(reg *obs.Registry, workers int, sweepCtrs *experiment.Sweep
 	m.drawOrderV1 = do.With("v1")
 	m.drawOrderV2 = do.With("v2")
 
-	// The sweep engine keeps its own atomics (internal/experiment
-	// stays dependency-free); export them as scrape-time reads.
+	// The sweep engine — which executes every job: solo, coalesced,
+	// and sweep — keeps its own atomics (internal/experiment stays
+	// dependency-free); export them as scrape-time reads.
 	reg.CounterFunc("reprod_sweep_tasks_total",
-		"(variant, replication) tasks fanned out by the sweep engine.",
+		"Replication tasks (v1 replications, v2 blocks) begun by the sweep engine, for every job kind.",
 		func() float64 { return float64(sweepCtrs.Tasks.Load()) })
 	reg.CounterFunc("reprod_sweep_engine_reuses_total",
 		"Sweep tasks served by Reset-ing a worker's cached engine.",

@@ -12,12 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -183,6 +181,11 @@ type Job struct {
 	// empty means not coalescible (topology or trace requested, or a
 	// sweep job).
 	coalesceKey string
+	// trace is the trajectory recorder of a spec with trace_every > 0,
+	// created at submission so GET /v1/jobs/{id}/trace can stream its
+	// rows while the job runs; nil otherwise. Set once, before the job
+	// is visible to anyone else.
+	trace *trace.Recorder
 
 	// requestID is the submitting request's trace ID (may be empty);
 	// it is echoed in the job view and every log line about this job,
@@ -218,19 +221,14 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu      sync.Mutex
-	status  JobStatus
-	report  *Report
-	reports []*Report
-	trace   *trace.Recorder
-	// liveTrace is the recorder runSpec is currently filling, set as
-	// soon as the running job creates it so GET /trace can stream
-	// rows before the job finishes.
-	liveTrace *trace.Recorder
-	err       error
-	created   time.Time
-	started   time.Time
-	finished  time.Time
+	mu       sync.Mutex
+	status   JobStatus
+	report   *Report
+	reports  []*Report
+	err      error
+	created  time.Time
+	started  time.Time
+	finished time.Time
 }
 
 // ID returns the job identifier.
@@ -266,39 +264,11 @@ func (j *Job) Reports() []*Report {
 	return j.reports
 }
 
-// Trace returns the recorded trajectory (nil unless the spec asked for
-// one and the job is done).
-func (j *Job) Trace() *trace.Recorder {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.trace
-}
-
-// LiveTrace returns the recorder a running job is filling (nil until
-// the job starts recording, and for jobs without a trace). The
-// recorder is safe to read concurrently while the job records into
-// it.
-func (j *Job) LiveTrace() *trace.Recorder {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.trace != nil {
-		return j.trace
-	}
-	return j.liveTrace
-}
-
-// setLiveTrace publishes the in-progress recorder.
-func (j *Job) setLiveTrace(rec *trace.Recorder) {
-	j.mu.Lock()
-	j.liveTrace = rec
-	j.mu.Unlock()
-}
-
-// TraceRequested reports whether this job records a trajectory at
-// all (sweep jobs never do).
-func (j *Job) TraceRequested() bool {
-	return j.sweep == nil && j.spec.TraceEvery > 0
-}
+// Trace returns the job's trajectory recorder: nil unless the spec set
+// trace_every (sweep jobs never record one). Replication 0 fills it
+// while the job runs; it is safe to read concurrently, and complete
+// once the job is done.
+func (j *Job) Trace() *trace.Recorder { return j.trace }
 
 // SpanTrace returns the span trace the job records into (nil for
 // untraced submissions). The trace seals — and becomes exportable —
@@ -370,11 +340,10 @@ func (j *Job) Wait(ctx context.Context) error {
 }
 
 // finish records the terminal state exactly once.
-func (j *Job) finish(status JobStatus, report *Report, rec *trace.Recorder, err error) {
+func (j *Job) finish(status JobStatus, report *Report, err error) {
 	j.mu.Lock()
 	j.status = status
 	j.report = report
-	j.trace = rec
 	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()
@@ -631,21 +600,15 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 // hot serving path does not validate — and in particular does not
 // build a throwaway core.Group — twice per request.
 func (s *Scheduler) SubmitValidated(spec Spec, hash string) (*Job, error) {
-	return s.SubmitTraced(spec, hash, "")
+	return s.SubmitSpanned(spec, hash, "", nil, span.None)
 }
 
-// SubmitTraced is SubmitValidated carrying the submitting request's
-// trace ID: the job echoes it in its API view and every log line about
-// the job, so a slow or failed job is greppable back to the exact
-// request that caused it.
-func (s *Scheduler) SubmitTraced(spec Spec, hash, requestID string) (*Job, error) {
-	return s.SubmitSpanned(spec, hash, requestID, nil, span.None)
-}
-
-// SubmitSpanned is SubmitTraced additionally threading the request's
-// span trace: the job records queue-wait and run spans under parent,
-// holding the trace open until it settles. tr may be nil (untraced
-// submission).
+// SubmitSpanned is SubmitValidated carrying the submitting request:
+// its trace ID, which the job echoes in its API view and every log
+// line about the job (so a slow or failed job is greppable back to
+// the exact request that caused it), and its span trace, under whose
+// parent span the job records queue-wait and run spans, holding the
+// trace open until it settles. tr may be nil (untraced submission).
 func (s *Scheduler) SubmitSpanned(spec Spec, hash, requestID string, tr *span.Trace, parent span.ID) (*Job, error) {
 	job := s.newJob(hash)
 	job.spec = spec
@@ -654,6 +617,15 @@ func (s *Scheduler) SubmitSpanned(spec Spec, hash, requestID string, tr *span.Tr
 	job.requestID = requestID
 	job.strace = tr
 	job.parentSpan = parent
+	if spec.TraceEvery > 0 {
+		cols := append([]string{"t", "group_reward"}, trace.VectorColumns("q", len(spec.Qualities))...)
+		rec, err := trace.NewRecorder(spec.TraceEvery, cols...)
+		if err != nil {
+			job.cancel()
+			return nil, err
+		}
+		job.trace = rec
+	}
 	return s.enqueue(job)
 }
 
@@ -662,17 +634,11 @@ func (s *Scheduler) SubmitSpanned(spec Spec, hash, requestID string, tr *span.Tr
 // per-variant work), executed as one vectorized batch. variantHashes
 // are the single-spec cache keys of the sweep's variants, in order.
 func (s *Scheduler) SubmitSweep(sw SweepSpec, hash string, variantHashes []string) (*Job, error) {
-	return s.SubmitSweepTraced(sw, hash, variantHashes, "")
+	return s.SubmitSweepSpanned(sw, hash, variantHashes, "", nil, span.None)
 }
 
-// SubmitSweepTraced is SubmitSweep carrying the submitting request's
-// trace ID (see SubmitTraced).
-func (s *Scheduler) SubmitSweepTraced(sw SweepSpec, hash string, variantHashes []string, requestID string) (*Job, error) {
-	return s.SubmitSweepSpanned(sw, hash, variantHashes, requestID, nil, span.None)
-}
-
-// SubmitSweepSpanned is SubmitSweepTraced additionally threading the
-// request's span trace (see SubmitSpanned).
+// SubmitSweepSpanned is SubmitSweep carrying the submitting request's
+// trace ID and span trace (see SubmitSpanned).
 func (s *Scheduler) SubmitSweepSpanned(sw SweepSpec, hash string, variantHashes []string, requestID string, tr *span.Trace, parent span.ID) (*Job, error) {
 	job := s.newJob(hash)
 	job.sweep = &sw
@@ -857,7 +823,7 @@ func (s *Scheduler) reapQueued(job *Job) {
 	s.metrics.jobsCanceled[classIndex(job.class)].Inc()
 	job.strace.End(job.queueSpan)
 	job.endSpans()
-	job.finish(JobCanceled, nil, nil, context.Cause(job.ctx))
+	job.finish(JobCanceled, nil, context.Cause(job.ctx))
 	s.logger.Info("job canceled while queued",
 		"job", job.id, "spec_hash", job.hash, "request_id", job.requestID)
 	s.retire(job)
@@ -958,43 +924,36 @@ func (s *Scheduler) worker(sh *shard) {
 	}
 }
 
-// runBatch executes one drained backlog: single-spec jobs sharing a
-// coalesce key run as one vectorized sweep; everything else runs in
-// arrival order.
+// runBatch executes one drained backlog in arrival order, every job
+// through experiment.RunSweep: single-spec jobs sharing a coalesce key
+// as one batch, any other single spec as a batch of one, and each
+// sweep job on its own.
 func (s *Scheduler) runBatch(batch []*Job) {
 	// Interactive jobs run before batch jobs from the same drained
 	// backlog; the stable sort preserves arrival order within a class.
 	sort.SliceStable(batch, func(i, k int) bool {
 		return classIndex(batch[i].class) < classIndex(batch[k].class)
 	})
-	if s.cfg.DisableCoalesce {
-		for _, job := range batch {
-			s.runJob(job)
-		}
-		return
-	}
 	used := make([]bool, len(batch))
 	for i, job := range batch {
 		if used[i] {
 			continue
 		}
 		used[i] = true
-		if job.coalesceKey == "" {
-			s.runJob(job)
+		if job.sweep != nil {
+			s.runSweepJob(job)
 			continue
 		}
 		group := []*Job{job}
-		for k := i + 1; k < len(batch); k++ {
-			if !used[k] && batch[k].coalesceKey == job.coalesceKey {
-				used[k] = true
-				group = append(group, batch[k])
+		if job.coalesceKey != "" && !s.cfg.DisableCoalesce {
+			for k := i + 1; k < len(batch); k++ {
+				if !used[k] && batch[k].coalesceKey == job.coalesceKey {
+					used[k] = true
+					group = append(group, batch[k])
+				}
 			}
 		}
-		if len(group) == 1 {
-			s.runJob(job)
-			continue
-		}
-		s.runCoalesced(group)
+		s.runSpecs(group)
 	}
 }
 
@@ -1010,7 +969,7 @@ func (s *Scheduler) dequeue(job *Job) bool {
 	if job.ctx.Err() != nil {
 		s.metrics.jobsCanceled[ci].Inc()
 		job.endSpans()
-		job.finish(JobCanceled, nil, nil, context.Cause(job.ctx))
+		job.finish(JobCanceled, nil, context.Cause(job.ctx))
 		s.retire(job)
 		return false
 	}
@@ -1018,17 +977,6 @@ func (s *Scheduler) dequeue(job *Job) bool {
 	s.metrics.queueWait[job.shard].Observe(wait)
 	s.metrics.classQueueWait[ci].Observe(wait)
 	return true
-}
-
-// runJob executes one job individually.
-func (s *Scheduler) runJob(job *Job) {
-	if !s.dequeue(job) {
-		return
-	}
-	if job.sweep == nil {
-		s.metrics.soloJobs.Inc()
-	}
-	s.execute(job)
 }
 
 // start marks the job running and returns its execution context,
@@ -1079,20 +1027,20 @@ func (s *Scheduler) rewriteTimeout(ctx context.Context, err error) error {
 // settle records a job's terminal state from its execution error,
 // observing run duration (when the job actually started) and emitting
 // the job's terminal log line.
-func (s *Scheduler) settle(job *Job, report *Report, rec *trace.Recorder, err error) {
+func (s *Scheduler) settle(job *Job, report *Report, err error) {
 	dur := s.observeRun(job)
 	job.endSpans()
 	ci := classIndex(job.class)
 	switch {
 	case err == nil:
 		s.metrics.jobsDone[ci].Inc()
-		job.finish(JobDone, report, rec, nil)
+		job.finish(JobDone, report, nil)
 		s.logger.Info("job done",
 			"job", job.id, "spec_hash", job.hash, "run_duration", dur,
 			"request_id", job.requestID)
 	case errors.Is(err, context.Canceled):
 		s.metrics.jobsCanceled[ci].Inc()
-		job.finish(JobCanceled, nil, nil, err)
+		job.finish(JobCanceled, nil, err)
 		s.logger.Info("job canceled",
 			"job", job.id, "spec_hash", job.hash, "request_id", job.requestID)
 	default:
@@ -1100,7 +1048,7 @@ func (s *Scheduler) settle(job *Job, report *Report, rec *trace.Recorder, err er
 			s.metrics.timeouts.Inc()
 		}
 		s.metrics.jobsFailed[ci].Inc()
-		job.finish(JobFailed, nil, nil, err)
+		job.finish(JobFailed, nil, err)
 		s.logger.Warn("job failed",
 			"job", job.id, "spec_hash", job.hash, "error", err,
 			"request_id", job.requestID)
@@ -1120,79 +1068,50 @@ func (s *Scheduler) observeRun(job *Job) time.Duration {
 	return dur
 }
 
-// execute runs a started job to its terminal state.
-func (s *Scheduler) execute(job *Job) {
+// runSweepJob executes a sweep job's variants as one vectorized batch.
+func (s *Scheduler) runSweepJob(job *Job) {
+	if !s.dequeue(job) {
+		return
+	}
 	ctx, cancel := s.start(job)
 	defer cancel()
 	// Test-only fault seam: an armed "sched.run" fault fails or delays
 	// the job here, after it is marked running but before any work.
 	if err := faultinject.Do(ctx, "sched.run"); err != nil {
-		s.settle(job, nil, nil, s.rewriteTimeout(ctx, err))
+		s.settle(job, nil, s.rewriteTimeout(ctx, err))
 		return
 	}
 	s.metrics.running.Inc()
-	if job.sweep != nil {
-		s.metrics.markDrawOrder(job.sweep.Family.DrawOrder)
-		s.runSweepJob(ctx, job)
-		s.metrics.running.Dec()
-		return
-	}
-	s.metrics.markDrawOrder(job.spec.DrawOrder)
-	report, rec, err := runSpec(ctx, &job.spec, job.hash, &runHooks{
-		onTrace: job.setLiveTrace,
-		tr:      job.strace,
-		parent:  job.runSpan,
-		prof:    s.metrics.stepCost,
-		engine:  job.spec.engineName(),
-		order:   job.spec.drawOrderVersion(),
-	})
-	s.metrics.running.Dec()
-	s.settle(job, report, rec, s.rewriteTimeout(ctx, err))
-}
-
-// runSweepJob executes a sweep job's variants as one vectorized batch.
-func (s *Scheduler) runSweepJob(ctx context.Context, job *Job) {
+	defer s.metrics.running.Dec()
+	s.metrics.markDrawOrder(job.sweep.Family.DrawOrder)
 	s.metrics.sweeps.Inc()
 	sw := job.sweep
+	specs := make([]Spec, len(sw.Variants))
 	variants := make([]experiment.SweepVariant, len(sw.Variants))
-	engines := make([]string, len(sw.Variants))
-	orders := make([]string, len(sw.Variants))
-	steps := make([]int, len(sw.Variants))
 	for i := range sw.Variants {
-		spec := sw.variantSpec(i)
-		engines[i], orders[i], steps[i] = spec.engineName(), spec.drawOrderVersion(), spec.Steps
-		variants[i] = experiment.SweepVariant{
-			N:            spec.N,
-			Engine:       spec.engineKind(),
-			Steps:        spec.Steps,
-			Replications: spec.Replications,
-			Seed:         spec.Seed,
-			CheckEvery:   spec.checkInterval(),
-			DrawOrder:    spec.DrawOrder,
-			Trace:        job.strace,
-			Span:         job.runSpan,
-		}
+		specs[i] = sw.variantSpec(i)
+		variants[i] = specs[i].sweepVariant()
+		variants[i].Trace, variants[i].Span = job.strace, job.runSpan
 	}
 	results, err := experiment.RunSweep(ctx, sw.familyConfig(), variants, experiment.SweepOptions{
 		Workers:  s.cfg.SweepWorkers,
 		Gate:     s.sweepGate,
 		Counters: &s.sweepCtrs,
 		OnTask: func(v, lanes int, elapsed time.Duration) {
-			s.metrics.stepCost.Observe(engines[v], orders[v], steps[v], lanes, elapsed.Nanoseconds())
+			s.observeStepCost(&specs[v], lanes, elapsed)
 		},
 	})
 	if err != nil {
-		s.settle(job, nil, nil, err)
+		s.settle(job, nil, err)
 		return
 	}
 	reports := make([]*Report, len(results))
 	for i, res := range results {
 		if res.Err != nil {
-			s.settle(job, nil, nil, s.rewriteTimeout(ctx, res.Err))
+			s.settle(job, nil, s.rewriteTimeout(ctx, res.Err))
 			return
 		}
-		spec := sw.variantSpec(i)
-		reports[i] = variantReport(job.variantHashes[i], &spec, res)
+		reports[i] = variantReport(job.variantHashes[i], &specs[i], res)
 	}
 	dur := s.observeRun(job)
 	s.metrics.jobsDone[classIndex(job.class)].Inc()
@@ -1204,121 +1123,140 @@ func (s *Scheduler) runSweepJob(ctx context.Context, job *Job) {
 	s.retire(job)
 }
 
-// runCoalesced executes ≥2 queued single-spec jobs that share a
-// family as one vectorized sweep, with per-job contexts so each job
-// keeps its own cancellation and timeout.
-func (s *Scheduler) runCoalesced(group []*Job) {
+// runSpecs executes single-spec jobs of one family as one
+// experiment.RunSweep call, one variant per job, with per-job contexts
+// so each job keeps its own cancellation and timeout.
+//
+// A group down to one live job after dequeue is a solo job: it is
+// marked running, opens its run span, starts its JobTimeout clock and
+// passes the sched.run fault seam before its first step, then runs its
+// replications serially on this worker, outside the sweep gate. Two or
+// more are a coalesced batch: the batch passes the sched.batch fault
+// seam, each job starts when its first task actually begins, and the
+// tasks fan out through the shared sweep gate.
+func (s *Scheduler) runSpecs(group []*Job) {
 	live := make([]*Job, 0, len(group))
 	for _, job := range group {
 		if s.dequeue(job) {
 			live = append(live, job)
 		}
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		s.metrics.soloJobs.Inc()
-		s.execute(live[0])
+	n := len(live)
+	if n == 0 {
 		return
 	}
-	// Test-only fault seam: an armed "sched.batch" fault fails the
-	// whole assembled batch before any variant runs.
-	if err := faultinject.Do(context.Background(), "sched.batch"); err != nil {
-		for _, job := range live {
-			s.settle(job, nil, nil, err)
-		}
-		return
-	}
-	n := int64(len(live))
-	s.metrics.batches.Inc()
-	s.metrics.batchedJobs.Add(uint64(n))
-	s.metrics.batchSize.Observe(float64(n))
-	for {
-		cur := s.maxBatch.Load()
-		if n <= cur || s.maxBatch.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-
-	// Each job's running transition — and in particular its JobTimeout
-	// clock — is armed by OnStart when the job's first task actually
-	// begins, not when the batch is assembled: a job multiplexed
-	// behind its batch peers must not be expired by work it never ran.
-	// The slices are written from sweep workers and read only after
-	// RunSweep returns (its internal WaitGroup orders the accesses).
-	ctxs := make([]context.Context, len(live))
-	cancels := make([]context.CancelFunc, len(live))
-	variants := make([]experiment.SweepVariant, len(live))
-	engines := make([]string, len(live))
-	orders := make([]string, len(live))
+	// ctxs and cancels are written by start — before RunSweep for a
+	// solo job, from sweep workers in OnStart for a batch — and read
+	// only after RunSweep returns, which orders every worker's writes
+	// before it.
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	variants := make([]experiment.SweepVariant, n)
 	for i, job := range live {
-		i, job := i, job
-		job.batchSize = len(live)
-		engines[i], orders[i] = job.spec.engineName(), job.spec.drawOrderVersion()
-		variants[i] = experiment.SweepVariant{
-			N:            job.spec.N,
-			Engine:       job.spec.engineKind(),
-			Steps:        job.spec.Steps,
-			Replications: job.spec.Replications,
-			Seed:         job.spec.Seed,
-			CheckEvery:   job.spec.checkInterval(),
-			DrawOrder:    job.spec.DrawOrder,
-			Ctx:          job.ctx,
-			// Each coalesced job records task spans into its OWN
-			// request's trace. The run span only exists once OnStart
-			// fires, so the variant's parent span is patched there —
-			// the Once in RunSweep orders the write before every task
-			// of this variant reads it.
-			Trace: job.strace,
-			OnStart: func() context.Context {
+		variants[i] = job.spec.sweepVariant()
+		variants[i].Ctx = job.ctx
+		variants[i].Trace = job.strace
+		variants[i].Trajectory = job.trace
+	}
+	opt := experiment.SweepOptions{
+		Workers:  1,
+		Counters: &s.sweepCtrs,
+		OnTask: func(v, lanes int, elapsed time.Duration) {
+			s.observeStepCost(&live[v].spec, lanes, elapsed)
+		},
+	}
+	if n == 1 {
+		job := live[0]
+		s.metrics.soloJobs.Inc()
+		ctxs[0], cancels[0] = s.start(job)
+		// Test-only fault seam: an armed "sched.run" fault fails or
+		// delays the job here, after it is marked running but before
+		// any work.
+		if err := faultinject.Do(ctxs[0], "sched.run"); err != nil {
+			cancels[0]()
+			s.settle(job, nil, s.rewriteTimeout(ctxs[0], err))
+			return
+		}
+		variants[0].Ctx, variants[0].Span = ctxs[0], job.runSpan
+	} else {
+		// Test-only fault seam: an armed "sched.batch" fault fails the
+		// whole assembled batch before any variant runs.
+		if err := faultinject.Do(context.Background(), "sched.batch"); err != nil {
+			for _, job := range live {
+				s.settle(job, nil, err)
+			}
+			return
+		}
+		s.metrics.batches.Inc()
+		s.metrics.batchedJobs.Add(uint64(n))
+		s.metrics.batchSize.Observe(float64(n))
+		for {
+			cur := s.maxBatch.Load()
+			if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {
+				break
+			}
+		}
+		// Each job's running transition — and in particular its
+		// JobTimeout clock — is armed by OnStart when the job's first
+		// task actually begins, not when the batch is assembled: a job
+		// multiplexed behind its batch peers must not be expired by
+		// work it never ran. Each job records task spans into its OWN
+		// request's trace; the run span only exists once OnStart
+		// fires, so the variant's parent span is patched there — the
+		// Once in RunSweep orders the write before every task of this
+		// variant reads it.
+		for i, job := range live {
+			job.batchSize = n
+			variants[i].OnStart = func() context.Context {
 				ctxs[i], cancels[i] = s.start(job)
 				variants[i].Span = job.runSpan
 				return ctxs[i]
-			},
+			}
 		}
+		opt.Workers, opt.Gate = s.cfg.SweepWorkers, s.sweepGate
 	}
 	s.metrics.running.Add(float64(n))
 	// Coalescing keys on the family, which includes the draw order, so
-	// the whole batch runs one contract version.
+	// the whole group runs one contract version and one topology.
 	s.metrics.markDrawOrder(live[0].spec.DrawOrder)
-	results, err := experiment.RunSweep(context.Background(), live[0].spec.coreConfig(0), variants,
-		experiment.SweepOptions{
-			Workers: s.cfg.SweepWorkers, Gate: s.sweepGate, Counters: &s.sweepCtrs,
-			OnTask: func(v, lanes int, elapsed time.Duration) {
-				s.metrics.stepCost.Observe(engines[v], orders[v], live[v].spec.Steps, lanes, elapsed.Nanoseconds())
-			},
-		})
+	proto, err := live[0].spec.jobConfig()
+	var results []experiment.SweepResult
+	if err == nil {
+		results, err = experiment.RunSweep(context.Background(), proto, variants, opt)
+	}
 	s.metrics.running.Add(float64(-n))
 	for _, cancel := range cancels {
 		if cancel != nil {
 			cancel()
 		}
 	}
-	if err != nil {
-		// Family resolution cannot fail for validated specs; fail the
-		// batch defensively rather than dropping jobs.
-		for _, job := range live {
-			s.settle(job, nil, nil, err)
-		}
-		return
-	}
 	for i, job := range live {
-		ctx := ctxs[i]
-		if ctx == nil { // no task ever started (canceled before start)
-			ctx = job.ctx
-		}
-		if res := results[i]; res.Err != nil {
-			s.settle(job, nil, nil, s.rewriteTimeout(ctx, res.Err))
-		} else {
-			s.settle(job, variantReport(job.hash, &job.spec, res), nil, nil)
+		switch {
+		case err != nil:
+			// Family resolution cannot fail for validated specs; fail
+			// the group defensively rather than dropping jobs.
+			s.settle(job, nil, err)
+		case results[i].Err != nil:
+			ctx := ctxs[i]
+			if ctx == nil { // no task ever started (canceled before start)
+				ctx = job.ctx
+			}
+			s.settle(job, nil, s.rewriteTimeout(ctx, results[i].Err))
+		default:
+			s.settle(job, variantReport(job.hash, &job.spec, results[i]), nil)
 		}
 	}
 }
 
+// observeStepCost feeds one finished task's timing to the step-cost
+// profiler.
+func (s *Scheduler) observeStepCost(spec *Spec, lanes int, elapsed time.Duration) {
+	s.metrics.stepCost.Observe(spec.engineName(), spec.drawOrderVersion(), spec.Steps, lanes, elapsed.Nanoseconds())
+}
+
 // variantReport shapes one sweep-driver result as the serving report
 // for the given spec. The driver's replication-order merge makes the
-// values bit-identical to runSpec on the same spec.
+// values bit-identical to running the spec's replications one by one.
 func variantReport(hash string, spec *Spec, res experiment.SweepResult) *Report {
 	return &Report{
 		SpecHash:           hash,
@@ -1343,251 +1281,4 @@ func (s *Scheduler) retire(job *Job) {
 		delete(s.jobs, s.doneQ[0])
 		s.doneQ = s.doneQ[1:]
 	}
-}
-
-// runHooks carries the scheduler's per-job observability into the
-// solo run path: the live-trace publisher, the request's span trace,
-// and the step-cost profiler. A nil *runHooks — what the library and
-// test entry points pass — disables all three; the run itself is
-// unaffected either way.
-type runHooks struct {
-	onTrace func(*trace.Recorder)
-	tr      *span.Trace
-	parent  span.ID
-	prof    *obs.StepCostProfiler
-	engine  string
-	order   string
-}
-
-// noHooks stands in for a nil *runHooks so the run paths never
-// nil-check the struct (its fields are all individually nil-safe).
-var noHooks = runHooks{parent: span.None}
-
-// runSpec executes every replication of spec, checking ctx between
-// steps. Replication r seeds with experiment.SeedFor(spec.Seed, r), so
-// replication 0 reproduces core.New(coreConfig(spec.Seed)).Run(Steps)
-// step for step, and the whole job is deterministic in the spec alone.
-// h, when non-nil, threads the job's observability: the live-trace
-// publisher (called with the trace recorder as soon as it exists, so
-// the serving layer can stream rows while the job runs), per-
-// replication spans, and step-cost samples.
-func runSpec(ctx context.Context, spec *Spec, hash string, h *runHooks) (*Report, *trace.Recorder, error) {
-	if h == nil {
-		h = &noHooks
-	}
-	if spec.DrawOrder == "v2" {
-		return runSpecV2(ctx, spec, hash, h)
-	}
-	var regrets stats.Summary
-	var rewardMean, bestQ float64
-	var popSum, popBuf []float64
-	var rec *trace.Recorder
-	checkEvery := spec.checkInterval()
-	for rep := 0; rep < spec.Replications; rep++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		g, err := spec.newGroup(experiment.SeedFor(spec.Seed, rep))
-		if err != nil {
-			return nil, nil, fmt.Errorf("service: replication %d: %w", rep, err)
-		}
-		var repRec *trace.Recorder
-		var row []float64
-		if rep == 0 && spec.TraceEvery > 0 {
-			m := g.Options()
-			cols := append([]string{"t", "group_reward"}, trace.VectorColumns("q", m)...)
-			repRec, err = trace.NewRecorder(spec.TraceEvery, cols...)
-			if err != nil {
-				return nil, nil, err
-			}
-			// len 2, cap 2+m: runGroup appends the popularity vector
-			// in place each step, so tracing allocates nothing per row
-			// beyond the recorder's own storage.
-			row = make([]float64, 2, 2+m)
-			if h.onTrace != nil {
-				h.onTrace(repRec)
-			}
-		}
-		sid := h.tr.Start("replication", h.parent)
-		h.tr.SetAttr(sid, "replication", int64(rep))
-		var t0 time.Time
-		if h.prof != nil {
-			t0 = time.Now()
-		}
-		avg, err := runGroup(ctx, g, spec.Steps, checkEvery, repRec, row)
-		h.tr.End(sid)
-		if err != nil {
-			// A canceled or failed replication ran an unknown fraction
-			// of its steps — not a valid per-step sample.
-			return nil, nil, err
-		}
-		if h.prof != nil {
-			h.prof.Observe(h.engine, h.order, spec.Steps, 1, time.Since(t0).Nanoseconds())
-		}
-		bestQ = g.BestQuality()
-		regrets.Add(bestQ - avg)
-		rewardMean += (avg - rewardMean) / float64(rep+1)
-		popBuf = g.AppendPopularity(popBuf[:0])
-		if popSum == nil {
-			popSum = make([]float64, len(popBuf))
-		}
-		for j, p := range popBuf {
-			popSum[j] += p
-		}
-		if repRec != nil {
-			rec = repRec
-		}
-	}
-	for j := range popSum {
-		popSum[j] /= float64(spec.Replications)
-	}
-	report := &Report{
-		SpecHash:           hash,
-		Steps:              spec.Steps,
-		Replications:       spec.Replications,
-		BestQuality:        bestQ,
-		AverageGroupReward: rewardMean,
-		Regret:             regrets.Mean(),
-		RegretStdDev:       regrets.StdDev(),
-		Popularity:         popSum,
-	}
-	return report, rec, nil
-}
-
-// runSpecV2 executes a draw_order v2 spec: replications run as
-// replication blocks of up to spec.blockLanes() lanes, each lane
-// seeded rng.StripeSeed(spec.Seed, rep) with its own stream. The merge
-// runs in replication order with the exact v1 arithmetic, so the
-// report shape and accumulation sequence are shared — only the draws
-// differ. Lane 0 of the first block records the trace when one is
-// requested (replication 0, as in v1), and the context-check interval
-// shrinks by the block width because every block step advances all
-// lanes.
-func runSpecV2(ctx context.Context, spec *Spec, hash string, h *runHooks) (*Report, *trace.Recorder, error) {
-	if h == nil {
-		h = &noHooks
-	}
-	var regrets stats.Summary
-	var rewardMean, bestQ float64
-	var popSum, popBuf []float64
-	var rec *trace.Recorder
-	width := spec.blockLanes()
-	for rep := 0; rep < spec.Replications; {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		lanes := min(width, spec.Replications-rep)
-		g, err := spec.newBlockGroup(spec.Seed, rep, lanes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("service: replication block at %d: %w", rep, err)
-		}
-		var repRec *trace.Recorder
-		var row []float64
-		if rep == 0 && spec.TraceEvery > 0 {
-			m := g.Options()
-			cols := append([]string{"t", "group_reward"}, trace.VectorColumns("q", m)...)
-			repRec, err = trace.NewRecorder(spec.TraceEvery, cols...)
-			if err != nil {
-				return nil, nil, err
-			}
-			row = make([]float64, 2, 2+m)
-			if h.onTrace != nil {
-				h.onTrace(repRec)
-			}
-		}
-		sid := h.tr.Start("replication.block", h.parent)
-		h.tr.SetAttr(sid, "replication", int64(rep))
-		h.tr.SetAttr(sid, "lanes", int64(lanes))
-		var t0 time.Time
-		if h.prof != nil {
-			t0 = time.Now()
-		}
-		checkEvery := max(spec.checkInterval()/lanes, 1)
-		for t := 1; t <= spec.Steps; t++ {
-			if t%checkEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					h.tr.End(sid)
-					return nil, nil, err
-				}
-			}
-			if err := g.StepBlock(); err != nil {
-				h.tr.End(sid)
-				return nil, nil, fmt.Errorf("service: step %d: %w", t, err)
-			}
-			if repRec != nil {
-				row[0] = float64(t)
-				row[1] = g.GroupReward(0)
-				full := g.AppendPopularity(0, row[:2])
-				if err := repRec.Record(full...); err != nil {
-					h.tr.End(sid)
-					return nil, nil, err
-				}
-			}
-		}
-		h.tr.End(sid)
-		if h.prof != nil {
-			h.prof.Observe(h.engine, h.order, spec.Steps, lanes, time.Since(t0).Nanoseconds())
-		}
-		bestQ = g.BestQuality()
-		for k := 0; k < lanes; k++ {
-			avg := g.CumulativeGroupReward(k) / float64(spec.Steps)
-			regrets.Add(bestQ - avg)
-			rewardMean += (avg - rewardMean) / float64(rep+k+1)
-			popBuf = g.AppendPopularity(k, popBuf[:0])
-			if popSum == nil {
-				popSum = make([]float64, len(popBuf))
-			}
-			for j, p := range popBuf {
-				popSum[j] += p
-			}
-		}
-		if repRec != nil {
-			rec = repRec
-		}
-		rep += lanes
-	}
-	for j := range popSum {
-		popSum[j] /= float64(spec.Replications)
-	}
-	report := &Report{
-		SpecHash:           hash,
-		Steps:              spec.Steps,
-		Replications:       spec.Replications,
-		BestQuality:        bestQ,
-		AverageGroupReward: rewardMean,
-		Regret:             regrets.Mean(),
-		RegretStdDev:       regrets.StdDev(),
-		Popularity:         popSum,
-	}
-	return report, rec, nil
-}
-
-// runGroup steps g for steps steps, accumulating the time-averaged
-// group reward exactly the way population.Run does, recording into rec
-// when non-nil, and honoring ctx every checkEvery steps.
-func runGroup(ctx context.Context, g *core.Group, steps, checkEvery int, rec *trace.Recorder, row []float64) (float64, error) {
-	var cum float64
-	for t := 1; t <= steps; t++ {
-		if t%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		if err := g.Step(); err != nil {
-			return 0, fmt.Errorf("service: step %d: %w", t, err)
-		}
-		reward := g.GroupReward()
-		cum += reward
-		if rec != nil {
-			row[0] = float64(t)
-			row[1] = reward
-			// Fills row[2:2+m] in place (cap reserved by the caller):
-			// the per-step trace path performs no copy allocation.
-			full := g.AppendPopularity(row[:2])
-			if err := rec.Record(full...); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return cum / float64(steps), nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -345,40 +346,74 @@ func TestSchedulerJobLookupAndRetention(t *testing.T) {
 	}
 }
 
-// TestRunSpecTrace checks the recorded trajectory shape and that its
-// last row matches the report.
+// TestRunSpecTrace checks the trajectory a job records through the
+// scheduler — its shape, that the report it rides with is the job's
+// own, and that it is replication 0's even when the job runs several —
+// under v1, v2, and a ring topology.
 func TestRunSpecTrace(t *testing.T) {
 	t.Parallel()
 
-	spec := validSpec()
-	spec.Steps = 100
-	spec.TraceEvery = 10
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, rec, err := runSpec(context.Background(), &spec, hash, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil {
-		t.Fatal("no trace recorded")
-	}
-	if rec.Len() != 10 {
-		t.Errorf("trace rows = %d, want 10", rec.Len())
-	}
-	lastRow := rec.Row(rec.Len() - 1)
-	if lastRow[0] != 91 { // rows kept at t = 1, 11, ..., 91
-		t.Errorf("last recorded t = %v, want 91", lastRow[0])
-	}
-	if len(lastRow) != 2+len(spec.Qualities) {
-		t.Errorf("row width %d, want %d", len(lastRow), 2+len(spec.Qualities))
-	}
-	if report.SpecHash != hash {
-		t.Errorf("report hash %s, want %s", report.SpecHash, hash)
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4})
+	ring := &Topology{Kind: "ring", Nodes: 40}
+	for _, shape := range []struct {
+		reps  int
+		order string
+		topo  *Topology
+	}{{1, "", nil}, {3, "", nil}, {3, "v2", nil}, {3, "", ring}, {3, "v2", ring}} {
+		spec := validSpec()
+		spec.Steps = 100
+		spec.TraceEvery = 10
+		spec.Replications, spec.DrawOrder, spec.Topology = shape.reps, shape.order, shape.topo
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		hash, err := spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%+v", shape)
+		job, err := s.SubmitValidated(spec, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := waitDone(t, label, job)
+		rec := job.Trace()
+		if rec == nil {
+			t.Fatalf("%s: no trace recorded", label)
+		}
+		if rec.Len() != 10 {
+			t.Fatalf("%s: trace rows = %d, want 10", label, rec.Len())
+		}
+		lastRow := rec.Row(rec.Len() - 1)
+		if lastRow[0] != 91 { // rows kept at t = 1, 11, ..., 91
+			t.Errorf("%s: last recorded t = %v, want 91", label, lastRow[0])
+		}
+		if len(lastRow) != 2+len(spec.Qualities) {
+			t.Errorf("%s: row width %d, want %d", label, len(lastRow), 2+len(spec.Qualities))
+		}
+		if report.SpecHash != hash {
+			t.Errorf("%s: report hash %s, want %s", label, report.SpecHash, hash)
+		}
+
+		// Replication 0 alone records the same rows.
+		one := spec
+		one.Replications = 1
+		solo, err := s.Submit(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, label+" replication 0", solo)
+		if solo.Trace().Len() != rec.Len() {
+			t.Fatalf("%s: replication 0 alone recorded %d rows, want %d", label, solo.Trace().Len(), rec.Len())
+		}
+		for i := 0; i < rec.Len(); i++ {
+			got, want := rec.Row(i), solo.Trace().Row(i)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s: row %d col %d = %v, want replication 0's %v", label, i, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }
 
@@ -537,4 +572,20 @@ func TestNewSchedulerRejectsNegativeTimeout(t *testing.T) {
 	}); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("negative JobTimeout accepted: %v", err)
 	}
+}
+
+// TestSoloJobBypassesSweepGate pins that a job running alone never
+// waits for the sweep gate: with every gate slot held, a solo job
+// still runs to completion on its shard worker.
+func TestSoloJobBypassesSweepGate(t *testing.T) {
+	t.Parallel()
+
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 1})
+	s.sweepGate <- struct{}{}
+	defer func() { <-s.sweepGate }()
+	job, err := s.Submit(validSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, "solo job with the sweep gate full", job)
 }

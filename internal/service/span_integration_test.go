@@ -134,7 +134,7 @@ func TestSimulateSpanTree(t *testing.T) {
 // TestCoalescedSweepVariantSpans blocks a single-shard scheduler,
 // queues four same-family specs submitted with their own traces, and
 // checks every coalesced member's trace still carries its queue-wait,
-// its run span tagged with the batch size, and its own sweep.task
+// its run span tagged with the batch size, and its own replication
 // span — membership in a shared batch must not cost a job its trace.
 func TestCoalescedSweepVariantSpans(t *testing.T) {
 	t.Parallel()
@@ -207,7 +207,7 @@ func TestCoalescedSweepVariantSpans(t *testing.T) {
 		}
 		counts := map[string]int{}
 		countSpanNames(export.Root, counts)
-		for _, want := range []string{"queue.wait", "run", "sweep.task"} {
+		for _, want := range []string{"queue.wait", "run", "replication"} {
 			if counts[want] == 0 {
 				t.Errorf("job %d span tree lacks %q (got %v)", i, want, counts)
 			}
@@ -221,8 +221,8 @@ func TestCoalescedSweepVariantSpans(t *testing.T) {
 		}
 		// The coalesced variant's task span must be nested under this
 		// job's own run span, not a sibling of it.
-		if task := findSpan(run, "sweep.task"); task == nil {
-			t.Errorf("job %d: sweep.task span is not a descendant of the run span", i)
+		if task := findSpan(run, "replication"); task == nil {
+			t.Errorf("job %d: replication span is not a descendant of the run span", i)
 		}
 	}
 }

@@ -52,13 +52,12 @@ const (
 	// ≈ 1400 nodes instead of MaxPopulation.
 	MaxTopologyEdges = 1_000_000
 	// MaxWork bounds the total simulated operations of one request:
-	// Steps × Replications × per-step cost, plus the per-replication
-	// setup (each replication rebuilds its topology graph at
-	// O(edges)). Per-step cost is O(m) for the aggregate engine, O(N)
-	// for the agent engine, and O(nodes) for a topology, so a
-	// horizon-scale limit alone would still admit ~10¹⁵-op
-	// agent-engine jobs; this folds population size into admission
-	// control.
+	// Steps × Replications × per-step cost, plus a per-replication
+	// setup charge of the topology's edge count. Per-step cost is O(m)
+	// for the aggregate engine, O(N) for the agent engine, and
+	// O(nodes) for a topology, so a horizon-scale limit alone would
+	// still admit ~10¹⁵-op agent-engine jobs; this folds population
+	// size into admission control.
 	MaxWork = 10_000_000_000
 	// MaxTraceRows bounds the recorded trajectory length of one job.
 	MaxTraceRows = 1_000_000
@@ -250,7 +249,7 @@ func defaultMu(beta float64) (mu float64, ok bool) {
 // cost) + Replications×(per-replication setup) ≤ MaxWork, where the
 // per-step cost is m (aggregate engine), N (agent engine), or the
 // node count (topology), and the setup cost is the topology's edge
-// count (the graph is rebuilt for every replication).
+// count.
 func (s *Spec) Validate() error {
 	s.Normalize()
 	// Bound each factor before multiplying so the product cannot
@@ -285,8 +284,8 @@ func (s *Spec) Validate() error {
 	}
 	// Post-Normalize "v1" is already folded to "". The admission-work
 	// arithmetic below is version-independent: v2 runs the same
-	// simulated operations, just batched into lanes (the scheduler
-	// scales its context-check interval down by the block width so
+	// simulated operations, just batched into lanes (RunSweep scales
+	// its context-check interval down by the block width so
 	// cancellation latency stays bounded in simulated work).
 	switch s.DrawOrder {
 	case "", "v2":
@@ -298,9 +297,11 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("%w: priority %q (want %q or %q)", ErrBadSpec, s.Priority, ClassInteractive, ClassBatch)
 	}
-	// buildCost is per-replication setup work: newGroup rebuilds the
-	// topology graph for every replication at O(edges), which for a
-	// dense (complete) graph dwarfs the O(nodes) step cost.
+	// buildCost charges the topology graph's O(edges) construction —
+	// which for a dense (complete) graph dwarfs the O(nodes) step cost
+	// — once per replication: a conservative bound, since the
+	// scheduler builds the graph once per job and every replication
+	// shares it.
 	var buildCost int64
 	if s.Topology != nil {
 		// Per-dimension bounds first: Rows×Cols could overflow before
@@ -415,24 +416,10 @@ func (s *Spec) drawOrderVersion() string {
 	return "v1"
 }
 
-// blockLanes returns the replication-block width the scheduler uses
-// for a draw_order v2 run of this spec. Width is a scheduling choice,
-// not part of the contract (any partition replays identically), so
-// this is free to differ per shape: topology specs run width-1 blocks
-// — the network path falls back to one dynamics state per lane, and a
-// wide block would multiply the spec's admitted memory by the lane
-// count — while every other shape uses the experiment default.
-func (s *Spec) blockLanes() int {
-	if s.Topology != nil {
-		return 1
-	}
-	return experiment.BlockLanes
-}
-
 // coreConfig maps the spec onto core.Config with the given seed. The
 // topology graph is deliberately NOT attached here — Config.Validate
-// on the result must stay allocation-light — so newGroup builds it per
-// replication.
+// on the result must stay allocation-light — so jobConfig builds it,
+// once per job.
 func (s *Spec) coreConfig(seed uint64) core.Config {
 	cfg := core.Config{
 		N:         s.N,
@@ -458,36 +445,34 @@ func (s *Spec) coreConfig(seed uint64) core.Config {
 	return cfg
 }
 
-// newGroup builds the group for one replication, materializing the
-// topology graph (size-checked by Validate) when the spec names one.
-// The graph is rebuilt per call, so each replication gets an
-// independent group.
-func (s *Spec) newGroup(seed uint64) (*core.Group, error) {
-	cfg := s.coreConfig(seed)
+// jobConfig is the family prototype a job runs on: coreConfig plus
+// the topology graph (size-checked by Validate) when the spec names
+// one. The graph is immutable, so every replication shares this one
+// build.
+func (s *Spec) jobConfig() (core.Config, error) {
+	cfg := s.coreConfig(0)
 	if s.Topology != nil {
 		g, err := s.Topology.build()
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 		cfg.Network = g
 	}
-	return core.New(cfg)
+	return cfg, nil
 }
 
-// newBlockGroup builds one v2 replication block covering lanes
-// replications at global lane lane0, materializing the topology graph
-// when the spec names one (v2 topology blocks are width 1, so this
-// builds at most one graph per call, same as newGroup).
-func (s *Spec) newBlockGroup(seed uint64, lane0, lanes int) (*core.BlockGroup, error) {
-	cfg := s.coreConfig(seed)
-	if s.Topology != nil {
-		g, err := s.Topology.build()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Network = g
+// sweepVariant maps the spec's run axes onto an experiment.RunSweep
+// variant.
+func (s *Spec) sweepVariant() experiment.SweepVariant {
+	return experiment.SweepVariant{
+		N:            s.N,
+		Engine:       s.engineKind(),
+		Steps:        s.Steps,
+		Replications: s.Replications,
+		Seed:         s.Seed,
+		CheckEvery:   s.checkInterval(),
+		DrawOrder:    s.DrawOrder,
 	}
-	return core.NewBlock(cfg, lane0, lanes)
 }
 
 // Hash returns the canonical cache key: SHA-256 over the canonical

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-
-	"repro/internal/experiment"
 )
 
 func validSpec() Spec {
@@ -407,13 +405,6 @@ func TestSpecDrawOrderCanonicalAndHashed(t *testing.T) {
 	topo.Topology = &Topology{Kind: "ring", Nodes: 16}
 	if err := topo.Validate(); err != nil {
 		t.Errorf("v2 topology spec rejected: %v", err)
-	}
-	if got := topo.blockLanes(); got != 1 {
-		t.Errorf("topology blockLanes = %d, want 1", got)
-	}
-	plain := validSpec()
-	if got, want := plain.blockLanes(), experiment.BlockLanes; got != want {
-		t.Errorf("blockLanes = %d, want %d", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -177,11 +178,7 @@ func TestSubmitSweepMatchesRunSpec(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := runSpec(context.Background(), &spec, hashes[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertReportsEqual(t, fmt.Sprintf("variant %d", i), reports[i], want)
+		assertReportsEqual(t, fmt.Sprintf("variant %d", i), reports[i], referenceReport(t, spec))
 	}
 	if st := s.Stats(); st.Sweeps != 1 {
 		t.Errorf("Sweeps = %d, want 1", st.Sweeps)
@@ -199,17 +196,18 @@ func assertReportsEqual(t *testing.T, label string, got, want *Report) {
 	if got.Steps != want.Steps || got.Replications != want.Replications {
 		t.Errorf("%s: steps/reps %d/%d, want %d/%d", label, got.Steps, got.Replications, want.Steps, want.Replications)
 	}
-	if got.BestQuality != want.BestQuality ||
-		got.AverageGroupReward != want.AverageGroupReward ||
-		got.Regret != want.Regret ||
-		got.RegretStdDev != want.RegretStdDev {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.BestQuality, want.BestQuality) ||
+		!same(got.AverageGroupReward, want.AverageGroupReward) ||
+		!same(got.Regret, want.Regret) ||
+		!same(got.RegretStdDev, want.RegretStdDev) {
 		t.Errorf("%s: scalars %+v, want %+v", label, got, want)
 	}
 	if len(got.Popularity) != len(want.Popularity) {
 		t.Fatalf("%s: popularity lengths %d vs %d", label, len(got.Popularity), len(want.Popularity))
 	}
 	for j := range want.Popularity {
-		if got.Popularity[j] != want.Popularity[j] {
+		if !same(got.Popularity[j], want.Popularity[j]) {
 			t.Errorf("%s: popularity[%d] = %v, want %v", label, j, got.Popularity[j], want.Popularity[j])
 		}
 	}
@@ -281,15 +279,7 @@ func TestSchedulerCoalescesQueuedFamily(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		hash, err := spec.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := runSpec(context.Background(), &spec, hash, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertReportsEqual(t, fmt.Sprintf("coalesced job %d", i), job.Report(), want)
+		assertReportsEqual(t, fmt.Sprintf("coalesced job %d", i), job.Report(), referenceReport(t, spec))
 	}
 }
 
@@ -341,15 +331,7 @@ func TestSchedulerCoalesceRespectsFamilies(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		hash, err := spec.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := runSpec(context.Background(), &spec, hash, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertReportsEqual(t, fmt.Sprintf("mixed job %d", i), job.Report(), want)
+		assertReportsEqual(t, fmt.Sprintf("mixed job %d", i), job.Report(), referenceReport(t, spec))
 	}
 	st := s.Stats()
 	if st.BatchedJobs != 4 { // two families of two; the topology spec runs solo
