@@ -234,28 +234,27 @@ func BenchmarkE14Protocol(b *testing.B) {
 	reportAll(b, res.Metrics, "share/loss=0.00", "share/loss=0.10", "msgs/loss=0.00")
 }
 
-// BenchmarkSweep pins the batched sweep engine's speedup: a 16-variant
+// BenchmarkSweep measures the batched sweep engine's speedup: a 16-variant
 // shared-(qualities, β, µ) sweep submitted as one POST /v1/sweep
 // request versus the same 16 variants submitted as independent
 // POST /v1/simulate calls (each paying its own HTTP round trip,
-// decode, validate/hash, single-flight, and scheduler handshake;
-// coalescing off — the pre-batching behavior) against servers with the
-// same worker budget. The paper's sweep workloads are exactly this
-// shape: many small shared-family runs, where the per-request fixed
-// costs rival the simulation itself and batching amortizes them. Each
-// iteration also asserts the batched per-variant reports are
-// bit-identical to the independent path's for the same seeds.
+// decode, validate/hash, single-flight, and scheduler handshake, and
+// running as its own job) against servers with the same worker budget.
+// The paper's sweep workloads are exactly this shape: many small
+// shared-family runs, where the per-request fixed costs rival the
+// simulation itself and batching amortizes them. Each iteration also
+// asserts the batched per-variant reports are bit-identical to the
+// independent path's for the same seeds.
 func BenchmarkSweep(b *testing.B) {
 	const (
 		workers   = 4
 		nVariants = 16
 	)
-	newServer := func(disableCoalesce bool) *httptest.Server {
+	newServer := func() *httptest.Server {
 		sched, err := service.NewScheduler(service.SchedulerConfig{
-			Workers:         workers,
-			QueueDepth:      2 * nVariants,
-			SweepWorkers:    workers,
-			DisableCoalesce: disableCoalesce,
+			Workers:      workers,
+			QueueDepth:   2 * nVariants,
+			SweepWorkers: workers,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -273,8 +272,8 @@ func BenchmarkSweep(b *testing.B) {
 		})
 		return ts
 	}
-	tsInd := newServer(true) // baseline: unbatched per-spec serving
-	tsBat := newServer(false)
+	tsInd := newServer() // baseline: per-spec serving
+	tsBat := newServer()
 
 	// report mirrors the wire shape of service.Report; float64 JSON
 	// round-trips exactly (shortest round-trip encoding), so comparing

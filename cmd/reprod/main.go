@@ -1,12 +1,12 @@
 // Command reprod is the simulation-serving daemon: it exposes the
 // library through internal/service's HTTP API with a bounded sharded
-// scheduler, a batched sweep engine (POST /v1/sweep plus same-family
-// coalescing of queued specs; see -sweep-workers and -coalesce), and
-// a tiered result store — an in-memory LRU front and, with -store-dir
-// set, a crash-safe on-disk segment log behind it, so computed
-// results survive restarts and the server warm-starts answering
-// previously computed specs "cached":true. It shuts down gracefully,
-// draining in-flight jobs and flushing the store, on SIGINT/SIGTERM.
+// scheduler, a batched sweep engine (POST /v1/sweep; see
+// -sweep-workers), and a tiered result store — an in-memory LRU front
+// and, with -store-dir set, a crash-safe on-disk segment log behind
+// it, so computed results survive restarts and the server warm-starts
+// answering previously computed specs "cached":true. It shuts down
+// gracefully, draining in-flight jobs and flushing the store, on
+// SIGINT/SIGTERM.
 //
 // Example:
 //
@@ -90,8 +90,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		cache      = fs.Int("cache", 1024, "cached reports (0 disables storage, keeps single-flight)")
 		retain     = fs.Int("retain", 1024, "finished jobs kept queryable")
 		jobTime    = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock limit once running (0 disables)")
-		sweepW     = fs.Int("sweep-workers", 0, "fan-out of one batched sweep (0 = workers)")
-		coalesce   = fs.Bool("coalesce", true, "batch concurrently queued same-family specs into one vectorized sweep")
+		sweepW     = fs.Int("sweep-workers", 0, "sweep tasks running at once across all sweep jobs (0 = workers)")
 		drainFor   = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
 		drainGrace = fs.Duration("drain-grace", 0, "pause between failing readiness (/readyz 503) and closing listeners, so load balancers stop routing first")
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -185,16 +184,15 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	}
 
 	schedCfg := service.SchedulerConfig{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		RetainJobs:      *retain,
-		JobTimeout:      *jobTime,
-		SweepWorkers:    *sweepW,
-		DisableCoalesce: !*coalesce,
-		MaxCost:         *maxCost,
-		StaleCostAfter:  *staleCost,
-		Metrics:         reg,
-		Logger:          logger,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		RetainJobs:     *retain,
+		JobTimeout:     *jobTime,
+		SweepWorkers:   *sweepW,
+		MaxCost:        *maxCost,
+		StaleCostAfter: *staleCost,
+		Metrics:        reg,
+		Logger:         logger,
 	}
 	if ctl != nil {
 		schedCfg.LoadControl = ctl

@@ -114,12 +114,12 @@ func TestDaemonServesSimulate(t *testing.T) {
 }
 
 // TestDaemonServesSweep drives POST /v1/sweep through the daemon with
-// the sweep flags set, and checks the coalesce counters surface in
+// the sweep flag set, and checks the sweep counters surface in
 // /statsz.
 func TestDaemonServesSweep(t *testing.T) {
 	t.Parallel()
 
-	base, _ := startDaemon(t, "-sweep-workers", "2", "-coalesce=true")
+	base, _ := startDaemon(t, "-sweep-workers", "2")
 	body := `{
 		"family": {"qualities": [0.9, 0.5, 0.5], "beta": 0.7},
 		"variants": [

@@ -27,11 +27,13 @@
 // per-variant cost, and executes through internal/experiment.RunSweep,
 // which resolves the family once (core.Template) and fans
 // (variant, replication) tasks across a bounded worker group.
-// RunSweep is the scheduler's only replication loop: concurrently
-// queued single specs that share a family coalesce into one batch,
-// and a spec that runs alone is a batch of one — its replications run
-// serially on its shard worker, outside the sweep gate, on the same
-// code path and bit-identical to running the spec by hand.
+// RunSweep is the scheduler's only replication loop, and every job
+// takes one run path into it: the job is marked running, passes the
+// sched.run fault seam and makes one RunSweep call. A single spec is a
+// sweep of one variant whose replications run serially on its shard
+// worker, outside the sweep gate, bit-identical to running the spec by
+// hand; a sweep job's tasks fan out through the gate shared by all
+// sweep jobs (-sweep-workers slots).
 //
 // Result storage lives in internal/store, tiered behind the
 // service.Cache seam: store.Memory is the in-proc LRU, store.Disk a
@@ -179,11 +181,8 @@
 //	sched_overload_rejections_total{class,reason}
 //	                                       counter   sheds: queue_full | cost | brownout
 //	brownout_level                         gauge     load-shed level: 0 off … 3 shed all uncached
-//	sched_batch_size                       histogram coalesced batch sizes
 //	sched_sweep_jobs_total                 counter   executed sweep jobs
-//	sched_coalesced_batches_total          counter   coalesced batches run
-//	sched_coalesced_jobs_total             counter   jobs inside coalesced batches
-//	sched_solo_jobs_total                  counter   jobs executed individually
+//	sched_solo_jobs_total                  counter   executed single-spec jobs
 //	core_draw_order{version}               gauge     info: draw-order versions executed (v1|v2)
 //	sweep_tasks_total                      counter   replication tasks begun, every job kind
 //	sweep_engine_reuses_total              counter   tasks served by engine Reset
@@ -288,9 +287,9 @@
 // Priority classes. A spec's optional "priority" field is
 // "interactive" (the /v1/simulate default) or "batch" (the /v1/sweep
 // default). Interactive jobs are dequeued ahead of batch within each
-// shard's ready batch, and every queue/outcome/shed metric carries the
-// class label, so the contract — interactive survives overload at a
-// higher success ratio — is measurable, not aspirational.
+// shard's drained backlog, and every queue/outcome/shed metric carries
+// the class label, so the contract — interactive survives overload at
+// a higher success ratio — is measurable, not aspirational.
 //
 // Brownout control. -brownout-rule names an SLO rule (same DSL as
 // -slo-rule; default: queue-wait p99 < 250ms over 30s) that an
@@ -316,13 +315,13 @@
 //	curl -s localhost:8080/statsz | jq .brownout   # {level, rule, value, threshold, ...}
 //
 // The fault-injection seams in internal/faultinject (injected latency,
-// errors, and stalls at the scheduler run, coalesced-batch, and
-// disk-read points — compiled in but inert unless a test activates
-// them) power the chaos test (TestChaosOverloadShedsGracefully) that
-// proves the contract: with injected disk stalls and a mixed-priority
-// flood, ≥90% of sheds hit batch, interactive queue-wait p99 stays
-// under the SLO, and the controller returns to level 0 within one slow
-// SLO window of the flood ending — all asserted from the metrics ring.
+// errors, and stalls at the scheduler run and disk-read points —
+// compiled in but inert unless a test activates them) power the chaos
+// test (TestChaosOverloadShedsGracefully) that proves the contract:
+// with injected disk stalls and a mixed-priority flood, ≥90% of sheds
+// hit batch, interactive queue-wait p99 stays under the SLO, and the
+// controller returns to level 0 within one slow SLO window of the
+// flood ending — all asserted from the metrics ring.
 // CI's overload smoke step (TestDaemonOverloadSmoke) replays the same
 // contract over HTTP against a live daemon and archives the outcome as
 // BENCH_overload.json.
@@ -337,10 +336,8 @@
 // layers below add validate, admission, cache.get/cache.put,
 // queue.wait (per shard), and run spans, and every job's run nests one
 // replication span per v1 replication or replication.block span per
-// v2 block (solo, coalesced, and sweep jobs alike all execute through
-// experiment.RunSweep) — a coalesced job's span tree shows its own
-// replication spans under its own run span, tagged with the batch size
-// it rode in. The last -trace-ring completed
+// v2 block (single-spec and sweep jobs alike execute through
+// experiment.RunSweep). The last -trace-ring completed
 // traces back GET /debug/traces, any trace slower than -trace-slow is
 // logged through slog, and a job's tree is served once it settles:
 //

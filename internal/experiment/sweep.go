@@ -55,18 +55,6 @@ type SweepVariant struct {
 	// variants (large agent populations) should scale this down so
 	// cancellation latency stays bounded in wall-clock terms.
 	CheckEvery int
-	// Ctx optionally cancels just this variant: the sweep keeps running
-	// the others and reports the cancellation in the variant's Err.
-	// Nil means only the sweep-wide context applies.
-	Ctx context.Context
-	// OnStart, when non-nil, runs exactly once, when the variant's
-	// first replication task actually begins — not when the sweep is
-	// assembled. A non-nil returned context replaces Ctx for the rest
-	// of the variant's lifetime. Callers use this to start per-variant
-	// clocks (the serving layer arms each coalesced job's timeout here,
-	// so a job queued behind batch peers is not expired by work it
-	// never ran).
-	OnStart func() context.Context
 	// Trace, when non-nil, records one span per task of this variant —
 	// "replication" for a v1 replication, "replication.block" for a v2
 	// replication block — nested under Span. Every span call is safe on
@@ -145,8 +133,6 @@ type SweepOptions struct {
 	// around each task's simulation work, bounding the AGGREGATE
 	// parallelism of every sweep sharing it: N concurrent RunSweep
 	// calls with one cap-C gate run at most C tasks at once, not N×C.
-	// Tasks blocked on the gate have not started (OnStart has not
-	// fired), so gated waiting does not burn per-variant clocks.
 	Gate chan struct{}
 	// Counters, when non-nil, receives the sweep's task fan-out and
 	// engine-cache instrumentation.
@@ -154,8 +140,8 @@ type SweepOptions struct {
 	// OnTask, when non-nil, receives each successfully completed task's
 	// timing: the variant index, the lane count the task advanced
 	// together (1 for v1 replications), and the elapsed wall time of
-	// the simulation work alone — gate waits and OnStart are excluded,
-	// so the sample reflects engine cost, not queueing. The serving
+	// the simulation work alone — gate waits are excluded, so the
+	// sample reflects engine cost, not queueing. The serving
 	// layer folds these into its per-(engine, draw_order) step-cost
 	// estimates.
 	OnTask func(variant, lanes int, elapsed time.Duration)
@@ -169,9 +155,9 @@ type SweepOptions struct {
 // its N, Engine, and Seed are ignored. With one worker the tasks run
 // serially on the calling goroutine.
 //
-// Per-variant failures (including per-variant context cancellation)
-// are reported in the corresponding SweepResult.Err; RunSweep itself
-// errors only on invalid options or an invalid family.
+// Per-variant failures, context cancellation included, are reported
+// in the corresponding SweepResult.Err; RunSweep itself errors only on
+// invalid options or an invalid family.
 func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, opt SweepOptions) ([]SweepResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("%w: empty sweep", ErrBadOptions)
@@ -207,7 +193,6 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 		default:
 			return nil, fmt.Errorf("%w: variant %d draw order %q", ErrBadOptions, v, variants[v].DrawOrder)
 		}
-		st.ctx = variants[v].Ctx
 	}
 
 	workers := opt.Workers
@@ -280,23 +265,13 @@ func (r *sweepRun) each(fn func(task)) {
 // the variant's merge as they finish.
 func (r *sweepRun) run(w *sweepWorker, tk task) {
 	v, st := &r.variants[tk.v], &r.states[tk.v]
-	// The gate wait watches the variant's ORIGINAL Ctx — st.ctx may be
-	// concurrently replaced inside the first task's Once.Do, and only
-	// reads that happen after our own Do below are ordered against it.
-	if err := acquireGate(r.ctx, v.Ctx, r.opt.Gate); err != nil {
+	if err := acquireGate(r.ctx, r.opt.Gate); err != nil {
 		st.fail(tk.rep, err)
 		return
 	}
-	st.start.Do(func() {
-		if v.OnStart != nil {
-			if c := v.OnStart(); c != nil {
-				st.ctx = c
-			}
-		}
-	})
 	r.opt.Counters.Tasks.Add(1)
-	// Span + timing cover the simulation work only: the gate wait and
-	// OnStart above are queueing, not engine cost.
+	// Span + timing cover the simulation work only: the gate wait above
+	// is queueing, not engine cost.
 	name, lanes := "replication", 1
 	if tk.lanes > 0 {
 		name, lanes = "replication.block", tk.lanes
@@ -331,33 +306,27 @@ func (r *sweepRun) run(w *sweepWorker, tk task) {
 }
 
 // acquireGate takes a slot on the shared gate, abandoning the wait if
-// either context dies first (a canceled variant must not queue for
+// the sweep's context dies first (a canceled sweep must not queue for
 // simulation capacity it will never use).
-func acquireGate(ctx, vctx context.Context, gate chan struct{}) error {
-	if err := sweepCtxErr(ctx, vctx); err != nil {
+func acquireGate(ctx context.Context, gate chan struct{}) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if gate == nil {
 		return nil
-	}
-	var vdone <-chan struct{}
-	if vctx != nil {
-		vdone = vctx.Done()
 	}
 	select {
 	case gate <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-vdone:
-		return vctx.Err()
 	}
 }
 
-// runSingle runs v1 replication rep of v, checking the sweep and
-// variant contexts every CheckEvery steps.
+// runSingle runs v1 replication rep of v, checking the sweep context
+// every CheckEvery steps.
 func (r *sweepRun) runSingle(w *sweepWorker, v *SweepVariant, st *variantState, rep int) error {
-	if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return err
 	}
 	g, err := w.group(r.tmpl, v, SeedFor(v.Seed, rep), r.opt.Counters)
@@ -369,7 +338,7 @@ func (r *sweepRun) runSingle(w *sweepWorker, v *SweepVariant, st *variantState, 
 	var cum float64
 	for t := 1; t <= v.Steps; t++ {
 		if t%every == 0 {
-			if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+			if err := r.ctx.Err(); err != nil {
 				return err
 			}
 		}
@@ -396,7 +365,7 @@ func (r *sweepRun) runSingle(w *sweepWorker, v *SweepVariant, st *variantState, 
 // check interval shrinks by the lane count to keep cancellation
 // latency comparable in simulated work.
 func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, lane0, lanes int) error {
-	if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return err
 	}
 	g, err := w.block(r.tmpl, v, lane0, lanes, r.opt.Counters)
@@ -407,7 +376,7 @@ func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, l
 	every := checkEvery(v, lanes)
 	for t := 1; t <= v.Steps; t++ {
 		if t%every == 0 {
-			if err := sweepCtxErr(r.ctx, st.ctx); err != nil {
+			if err := r.ctx.Err(); err != nil {
 				return err
 			}
 		}
@@ -446,17 +415,6 @@ func trajectory(v *SweepVariant, rep, m int) (*trace.Recorder, []float64) {
 		return nil, nil
 	}
 	return v.Trajectory, make([]float64, 2, 2+m)
-}
-
-// sweepCtxErr folds the sweep-wide and per-variant contexts.
-func sweepCtxErr(ctx, vctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if vctx != nil {
-		return vctx.Err()
-	}
-	return nil
 }
 
 // sweepWorker is one worker's reusable state. Its single-slot engine
@@ -532,14 +490,11 @@ func (w *sweepWorker) block(tmpl *core.Template, v *SweepVariant, lane0, lanes i
 	return b, nil
 }
 
-// variantState is one variant's progress: its lazily started context
-// and the running merge of its finished replications.
+// variantState is one variant's progress: the running merge of its
+// finished replications.
 type variantState struct {
 	reps  int // replications to run (at least 1)
 	width int // v2 block width; 0 schedules v1 single replications
-
-	start sync.Once
-	ctx   context.Context // the variant's Ctx, replaced by OnStart's under start
 
 	mu      sync.Mutex
 	merged  int               // replications folded so far

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -114,82 +113,6 @@ func ringGraph(t *testing.T, n int) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
-}
-
-// TestRunSweepPerVariantCancel cancels one variant and checks the
-// others complete untouched.
-func TestRunSweepPerVariantCancel(t *testing.T) {
-	t.Parallel()
-
-	proto := core.Config{Qualities: []float64{0.8, 0.4}, Beta: 0.65}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	variants := []SweepVariant{
-		{N: 1000, Steps: 200, Seed: 1},
-		{N: 1000, Steps: 200, Seed: 2, Ctx: canceled},
-		{N: 1000, Steps: 200, Seed: 3},
-	}
-	results, err := RunSweep(context.Background(), proto, variants, SweepOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(results[1].Err, context.Canceled) {
-		t.Errorf("canceled variant Err = %v, want context.Canceled", results[1].Err)
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err != nil {
-			t.Errorf("live variant %d failed: %v", i, results[i].Err)
-		}
-		want := serialVariant(t, proto, variants[i])
-		if results[i].Regret != want.Regret {
-			t.Errorf("live variant %d regret %v, want %v", i, results[i].Regret, want.Regret)
-		}
-	}
-}
-
-// TestRunSweepOnStart checks the lazy-start hook: OnStart fires
-// exactly once per variant, when its first task begins, and its
-// returned context replaces the variant context — the mechanism the
-// serving layer uses to arm a coalesced job's timeout at its actual
-// run instead of at batch assembly.
-func TestRunSweepOnStart(t *testing.T) {
-	t.Parallel()
-
-	proto := core.Config{Qualities: []float64{0.8, 0.4}, Beta: 0.65}
-	var started [3]atomic.Int64
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	variants := []SweepVariant{
-		{N: 500, Steps: 100, Seed: 1, Replications: 4,
-			OnStart: func() context.Context { started[0].Add(1); return nil }},
-		// OnStart's returned context governs: this variant must die
-		// even though its own Ctx is live.
-		{N: 500, Steps: 100, Seed: 2, Replications: 2,
-			OnStart: func() context.Context { started[1].Add(1); return canceled }},
-		{N: 500, Steps: 100, Seed: 3,
-			OnStart: func() context.Context { started[2].Add(1); return nil }},
-	}
-	results, err := RunSweep(context.Background(), proto, variants, SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range variants {
-		if got := started[v].Load(); got != 1 {
-			t.Errorf("variant %d OnStart ran %d times, want 1", v, got)
-		}
-	}
-	if !errors.Is(results[1].Err, context.Canceled) {
-		t.Errorf("variant 1 Err = %v, want context.Canceled via OnStart ctx", results[1].Err)
-	}
-	for _, v := range []int{0, 2} {
-		if results[v].Err != nil {
-			t.Errorf("variant %d failed: %v", v, results[v].Err)
-		}
-		want := serialVariant(t, proto, variants[v])
-		if results[v].Regret != want.Regret {
-			t.Errorf("variant %d regret %v, want %v", v, results[v].Regret, want.Regret)
-		}
-	}
 }
 
 // TestRunSweepGate checks a shared gate serializes tasks without

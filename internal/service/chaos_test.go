@@ -59,9 +59,8 @@ func TestChaosOverloadShedsGracefully(t *testing.T) {
 	})
 	sched := newTestScheduler(t, SchedulerConfig{
 		Workers: 2, QueueDepth: 32, RetainJobs: 4096,
-		DisableCoalesce: true,
-		Metrics:         reg,
-		LoadControl:     ctl,
+		Metrics:     reg,
+		LoadControl: ctl,
 	})
 
 	// The interactive path reads through a tiered store so the disk

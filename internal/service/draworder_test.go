@@ -124,8 +124,7 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 
 // TestSchedulerRunsV2EndToEnd submits a v2 spec and a v2 sweep through
 // the scheduler and checks both agree with the reference — the wiring
-// test that DrawOrder survives Submit, coalescing keys, and the sweep
-// variant mapping.
+// test that DrawOrder survives Submit and the sweep variant mapping.
 func TestSchedulerRunsV2EndToEnd(t *testing.T) {
 	t.Parallel()
 

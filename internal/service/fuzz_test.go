@@ -97,7 +97,7 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("revalidated hash %s (err %v), want %s", h, err, hash)
 		}
 		if work := specWork(t, &spec); work > MaxWork {
-			t.Fatalf("accepted work %d exceeds MaxWork %d", work, MaxWork)
+			t.Fatalf("accepted work %d exceeds MaxWork %d", work, int64(MaxWork))
 		}
 		enc, err := json.Marshal(&spec)
 		if err != nil {
@@ -153,7 +153,7 @@ func FuzzDecodeSweep(f *testing.F) {
 			total += specWork(t, &spec)
 		}
 		if total > MaxWork {
-			t.Fatalf("accepted summed work %d exceeds MaxWork %d", total, MaxWork)
+			t.Fatalf("accepted summed work %d exceeds MaxWork %d", total, int64(MaxWork))
 		}
 		enc, err := json.Marshal(&sweep)
 		if err != nil {

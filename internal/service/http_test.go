@@ -366,7 +366,7 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("completed = %d after repeat sweep, want 1", done)
 	}
 
-	// The coalesce counters surface in /statsz.
+	// The sweep counter surfaces in /statsz.
 	var stats statszResponse
 	getJSON(t, ts.URL+"/statsz", &stats)
 	if stats.Scheduler.Sweeps != 1 {

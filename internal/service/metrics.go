@@ -35,11 +35,8 @@ import (
 //	                                              counter   submissions shed by admission control,
 //	                                              by class and reason: queue_full|cost|brownout
 //	reprod_brownout_level                         gauge     brownout level 0..3 (internal/service/loadctl)
-//	reprod_sched_batch_size                       histogram coalesced batch sizes (jobs per batch)
 //	reprod_sched_sweep_jobs_total                 counter   executed sweep jobs
-//	reprod_sched_coalesced_batches_total          counter   coalesced batches run
-//	reprod_sched_coalesced_jobs_total             counter   jobs executed inside coalesced batches
-//	reprod_sched_solo_jobs_total                  counter   jobs executed individually
+//	reprod_sched_solo_jobs_total                  counter   executed single-spec jobs
 //	reprod_core_draw_order{version}               gauge     info: draw-order versions executed (v1|v2)
 //	reprod_sweep_tasks_total                      counter   replication tasks begun, every job kind
 //	reprod_sweep_engine_reuses_total              counter   tasks served by Reset-ing a cached engine
@@ -74,12 +71,6 @@ import (
 //	reprod_go_gc_pause_seconds                    histogram stop-the-world GC pause durations
 //	reprod_build_info{version,go_version}         gauge     constant 1; build identity in the labels
 
-// batchSizeBuckets covers coalesced batch sizes from the 2-job
-// minimum to the MaxSweepVariants-scale worst case.
-func batchSizeBuckets() []float64 {
-	return obs.ExpBuckets(2, 2, 9) // 2 .. 512, +Inf catches the rest
-}
-
 // schedMetrics are the scheduler's registered handles.
 type schedMetrics struct {
 	reg *obs.Registry
@@ -102,19 +93,15 @@ type schedMetrics struct {
 	// reads the family unchanged.
 	shed [numClasses][numShedReasons]*obs.Counter
 
-	batchSize   *obs.Histogram
-	sweeps      *obs.Counter
-	batches     *obs.Counter
-	batchedJobs *obs.Counter
-	soloJobs    *obs.Counter
+	sweeps   *obs.Counter
+	soloJobs *obs.Counter
 
 	drawOrderV1 *obs.Gauge
 	drawOrderV2 *obs.Gauge
 
 	// stepCost folds real run timings into per-(engine, draw_order)
 	// ns/step estimates — the measured signal the calibrated-admission
-	// control loop consumes. Fed by RunSweep's OnTask at both call
-	// sites.
+	// control loop consumes. Fed by RunSweep's OnTask.
 	stepCost *obs.StepCostProfiler
 }
 
@@ -167,15 +154,8 @@ func newSchedMetrics(reg *obs.Registry, workers int, sweepCtrs *experiment.Sweep
 	m.timeouts = reg.Counter("reprod_sched_job_timeouts_total",
 		"Jobs killed by the server-side job timeout (also counted failed).")
 
-	m.batchSize = reg.Histogram("reprod_sched_batch_size",
-		"Jobs per coalesced same-family batch.", batchSizeBuckets())
 	m.sweeps = reg.Counter("reprod_sched_sweep_jobs_total", "Executed sweep jobs.")
-	m.batches = reg.Counter("reprod_sched_coalesced_batches_total",
-		"Coalesced batches: drains where 2+ queued jobs shared a family.")
-	m.batchedJobs = reg.Counter("reprod_sched_coalesced_jobs_total",
-		"Single-spec jobs executed inside coalesced batches.")
-	m.soloJobs = reg.Counter("reprod_sched_solo_jobs_total",
-		"Single-spec jobs executed individually.")
+	m.soloJobs = reg.Counter("reprod_sched_solo_jobs_total", "Executed single-spec jobs.")
 
 	// Info gauge: which draw-order contract versions this process has
 	// executed (1 once a job of that version ran). Dashboards use it to
@@ -186,8 +166,8 @@ func newSchedMetrics(reg *obs.Registry, workers int, sweepCtrs *experiment.Sweep
 	m.drawOrderV1 = do.With("v1")
 	m.drawOrderV2 = do.With("v2")
 
-	// The sweep engine — which executes every job: solo, coalesced,
-	// and sweep — keeps its own atomics (internal/experiment stays
+	// The sweep engine — which executes every job, single-spec and
+	// sweep alike — keeps its own atomics (internal/experiment stays
 	// dependency-free); export them as scrape-time reads.
 	reg.CounterFunc("reprod_sweep_tasks_total",
 		"Replication tasks (v1 replications, v2 blocks) begun by the sweep engine, for every job kind.",

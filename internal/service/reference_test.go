@@ -105,10 +105,9 @@ func waitDone(t *testing.T, label string, job *Job) *Report {
 }
 
 // TestSchedulerMatchesReference runs every engine under both draw
-// orders through each way a spec reaches RunSweep — a solo job, a
-// coalesced batch, and a sweep variant — and checks each report equals
-// the reference bit for bit. Topology specs neither coalesce nor
-// sweep, so the ring shape runs solo only.
+// orders through each way a spec reaches RunSweep — a solo job and a
+// sweep variant — and checks each report equals the reference bit for
+// bit. Topology specs do not sweep, so the ring shape runs solo only.
 func TestSchedulerMatchesReference(t *testing.T) {
 	t.Parallel()
 
@@ -143,34 +142,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				continue
 			}
 
-			// Coalesced: hold the single shard with a blocker so the
-			// spec and a same-family peer queue up and drain together.
-			batch := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 2})
-			blocker := validSpec()
-			blocker.Steps = 40_000_000
-			bjob, err := batch.Submit(blocker)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for deadline := time.Now().Add(5 * time.Second); bjob.Status() != JobRunning && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			peer := spec
-			peer.Seed++
-			jobs := make([]*Job, 2)
-			for i, sp := range []Spec{spec, peer} {
-				if jobs[i], err = batch.Submit(sp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			bjob.Cancel()
-			assertReportsEqual(t, label+" coalesced", waitDone(t, label+" coalesced", jobs[0]), want)
-			assertReportsEqual(t, label+" coalesced peer", waitDone(t, label+" coalesced peer", jobs[1]),
-				referenceReport(t, peer))
-			if st := batch.Stats(); st.BatchedJobs != 2 {
-				t.Errorf("%s: BatchedJobs = %d, want 2", label, st.BatchedJobs)
-			}
-
+			sweeps := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 2})
 			sw := SweepSpec{
 				Family: SweepFamily{Qualities: spec.Qualities, Beta: spec.Beta, DrawOrder: spec.DrawOrder},
 				Variants: []SweepVariant{{
@@ -189,7 +161,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			swJob, err := batch.SubmitSweep(sw, swHash, hashes)
+			swJob, err := sweeps.SubmitSweep(sw, swHash, hashes)
 			if err != nil {
 				t.Fatal(err)
 			}

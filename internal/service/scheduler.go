@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -176,11 +177,6 @@ type Job struct {
 	sweep         *SweepSpec
 	variantHashes []string
 
-	// coalesceKey groups queued single-spec jobs that share a
-	// (qualities, β, α, µ) family and can run as one batched sweep;
-	// empty means not coalescible (topology or trace requested, or a
-	// sweep job).
-	coalesceKey string
 	// trace is the trajectory recorder of a spec with trace_every > 0,
 	// created at submission so GET /v1/jobs/{id}/trace can stream its
 	// rows while the job runs; nil otherwise. Set once, before the job
@@ -210,9 +206,6 @@ type Job struct {
 	parentSpan span.ID
 	queueSpan  span.ID
 	runSpan    span.ID
-	// batchSize is the coalesced batch the job ran in (0 = not
-	// coalesced); written by the shard worker before any task starts.
-	batchSize int
 
 	sched *Scheduler
 	shard int
@@ -223,8 +216,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	status   JobStatus
-	report   *Report
-	reports  []*Report
+	reports  []*Report // one per variant; a single-spec job has one
 	err      error
 	created  time.Time
 	started  time.Time
@@ -253,12 +245,18 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Report() *Report {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.report
+	if j.sweep != nil || len(j.reports) == 0 {
+		return nil
+	}
+	return j.reports[0]
 }
 
 // Reports returns a sweep job's per-variant results, in variant order
 // (nil until done, and nil for single-spec jobs).
 func (j *Job) Reports() []*Report {
+	if j.sweep == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.reports
@@ -278,9 +276,9 @@ func (j *Job) SpanTrace() *span.Trace {
 }
 
 // endSpans closes the job's run span and drops the job's hold on its
-// trace. Each job reaches exactly one terminal path (settle, sweep
-// success, reaped while queued, or canceled at dequeue), and every
-// path calls this exactly once — the matching Retain happened in
+// trace. Each job reaches exactly one terminal path (settle, reaped
+// while queued, or canceled at dequeue), and every path calls this
+// exactly once — the matching Retain happened in
 // enqueue, so an untraced or never-enqueued job never gets here with
 // an unbalanced count.
 func (j *Job) endSpans() {
@@ -339,22 +337,13 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// finish records the terminal state exactly once.
-func (j *Job) finish(status JobStatus, report *Report, err error) {
+// finish records the terminal state exactly once; reports is nil
+// unless the job is done.
+func (j *Job) finish(status JobStatus, reports []*Report, err error) {
 	j.mu.Lock()
 	j.status = status
-	j.report = report
-	j.err = err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// finishSweep records a sweep job's terminal success.
-func (j *Job) finishSweep(reports []*Report) {
-	j.mu.Lock()
-	j.status = JobDone
 	j.reports = reports
+	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
@@ -368,8 +357,9 @@ type SchedulerConfig struct {
 	Workers int
 	// QueueDepth bounds each shard's backlog of not-yet-running jobs;
 	// a full queue rejects submissions with ErrOverloaded. (A worker
-	// additionally holds the batch it drained for coalescing, so up to
-	// QueueDepth more jobs can be pending-but-dequeued per shard.)
+	// additionally holds the backlog it drained, which it runs
+	// interactive-first, so up to QueueDepth more jobs can be
+	// pending-but-dequeued per shard.)
 	QueueDepth int
 	// RetainJobs bounds how many finished jobs stay queryable before
 	// the oldest are evicted (default 1024).
@@ -379,19 +369,15 @@ type SchedulerConfig struct {
 	// and a job that hits it finishes as JobFailed with ErrJobTimeout.
 	// Zero means no server-side time limit.
 	JobTimeout time.Duration
-	// SweepWorkers caps the AGGREGATE fan-out of batched sweeps: all
-	// concurrently executing sweep jobs and coalesced batches share
-	// one gate of this many slots, so total sweep-task parallelism is
-	// SweepWorkers — not Workers × SweepWorkers — and total simulation
-	// parallelism stays within Workers + SweepWorkers (a shard worker
-	// driving a batch blocks on the gate rather than computing).
+	// SweepWorkers caps the sweep tasks running at once across all
+	// sweep jobs: every executing sweep job shares one gate of this
+	// many slots, so total sweep-task parallelism is SweepWorkers —
+	// not Workers × SweepWorkers — and total simulation parallelism
+	// stays within Workers + SweepWorkers (a shard worker driving a
+	// sweep job blocks on the gate rather than computing, and a
+	// single-spec job runs on its shard worker outside the gate).
 	// 0 defaults to Workers.
 	SweepWorkers int
-	// DisableCoalesce turns off same-family batching of concurrently
-	// queued single-spec jobs (sweep jobs still run vectorized). Used
-	// to benchmark the unbatched path and as an operational escape
-	// hatch.
-	DisableCoalesce bool
 	// MaxCost, when positive, is each shard's wall-clock admission
 	// budget: a submission whose predicted cost (step-cost profiler
 	// estimate × steps × replications, summed per variant for sweeps)
@@ -430,19 +416,8 @@ type SchedulerStats struct {
 	Canceled     uint64 `json:"canceled"`
 	// Sweeps counts executed sweep jobs (POST /v1/sweep admissions).
 	Sweeps uint64 `json:"sweeps"`
-	// Batches counts coalesced batches: drains where ≥2 queued
-	// single-spec jobs shared a family and ran as one vectorized
-	// sweep.
-	Batches uint64 `json:"batches"`
-	// BatchedJobs counts single-spec jobs executed inside coalesced
-	// batches; SoloJobs counts the ones executed individually.
-	BatchedJobs uint64 `json:"batched_jobs"`
-	SoloJobs    uint64 `json:"solo_jobs"`
-	// MaxBatch is the largest coalesced batch so far.
-	MaxBatch int64 `json:"max_batch"`
-	// CoalesceRate is BatchedJobs / (BatchedJobs + SoloJobs): the
-	// fraction of single-spec jobs that rode a shared batch.
-	CoalesceRate float64 `json:"coalesce_rate"`
+	// SoloJobs counts executed single-spec jobs.
+	SoloJobs uint64 `json:"solo_jobs"`
 	// Shed counts admission rejections, all classes and reasons
 	// combined.
 	Shed uint64 `json:"shed"`
@@ -467,7 +442,7 @@ type ClassStats struct {
 // shard is one worker's FIFO backlog. A slice guarded by a mutex —
 // not a channel — so cancellation can remove a queued job in place
 // (freeing its admission slot) and so the worker can drain the whole
-// backlog at once to coalesce same-family jobs.
+// backlog at once and run it interactive-first.
 type shard struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -481,7 +456,7 @@ type Scheduler struct {
 	cfg    SchedulerConfig
 	shards []*shard
 	// sweepGate bounds aggregate sweep-task parallelism across every
-	// concurrently executing batch (see SchedulerConfig.SweepWorkers).
+	// concurrently executing sweep job (see SchedulerConfig.SweepWorkers).
 	sweepGate chan struct{}
 
 	mu     sync.Mutex
@@ -489,9 +464,8 @@ type Scheduler struct {
 	jobs   map[string]*Job
 	doneQ  []string // finished job ids, oldest first, for retention
 
-	wg       sync.WaitGroup
-	nextID   atomic.Uint64
-	maxBatch atomic.Int64 // max-tracker, not exposable as a plain counter
+	wg     sync.WaitGroup
+	nextID atomic.Uint64
 
 	// pendingNs tracks each shard's admitted-but-unfinished predicted
 	// wall-clock cost in nanoseconds: reserved at enqueue (CAS against
@@ -507,8 +481,8 @@ type Scheduler struct {
 	// from these same handles, so the two export paths cannot drift.
 	metrics *schedMetrics
 	logger  *slog.Logger
-	// sweepCtrs is handed to experiment.RunSweep at both call sites so
-	// the sweep engine's fan-out and engine-cache behavior land in the
+	// sweepCtrs is handed to every experiment.RunSweep call so the
+	// sweep engine's fan-out and engine-cache behavior land in the
 	// registry without internal/experiment importing obs.
 	sweepCtrs experiment.SweepCounters
 }
@@ -613,7 +587,6 @@ func (s *Scheduler) SubmitSpanned(spec Spec, hash, requestID string, tr *span.Tr
 	job := s.newJob(hash)
 	job.spec = spec
 	job.class = spec.class()
-	job.coalesceKey = spec.familyKey()
 	job.requestID = requestID
 	job.strace = tr
 	job.parentSpan = parent
@@ -852,10 +825,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Queued:       m.queuedTotal(),
 		Running:      int(m.running.Value()),
 		Sweeps:       m.sweeps.Value(),
-		Batches:      m.batches.Value(),
-		BatchedJobs:  m.batchedJobs.Value(),
 		SoloJobs:     m.soloJobs.Value(),
-		MaxBatch:     s.maxBatch.Load(),
 		Classes:      make(map[string]ClassStats, numClasses),
 	}
 	for ci, class := range classNames {
@@ -876,9 +846,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 	}
 	for i := range s.pendingNs {
 		st.PendingCostSeconds += time.Duration(s.pendingNs[i].Load()).Seconds()
-	}
-	if total := st.BatchedJobs + st.SoloJobs; total > 0 {
-		st.CoalesceRate = float64(st.BatchedJobs) / float64(total)
 	}
 	return st
 }
@@ -903,8 +870,9 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// worker drains its shard. Each pass takes the whole backlog, so
-// concurrently queued jobs sharing a family coalesce into one batch.
+// worker drains its shard. Each pass takes the whole backlog and runs
+// it one job at a time, interactive jobs first; the stable sort keeps
+// arrival order within a class.
 func (s *Scheduler) worker(sh *shard) {
 	defer s.wg.Done()
 	for {
@@ -916,44 +884,16 @@ func (s *Scheduler) worker(sh *shard) {
 			sh.mu.Unlock()
 			return
 		}
-		batch := make([]*Job, len(sh.queue))
-		copy(batch, sh.queue)
+		backlog := make([]*Job, len(sh.queue))
+		copy(backlog, sh.queue)
 		sh.queue = sh.queue[:0]
 		sh.mu.Unlock()
-		s.runBatch(batch)
-	}
-}
-
-// runBatch executes one drained backlog in arrival order, every job
-// through experiment.RunSweep: single-spec jobs sharing a coalesce key
-// as one batch, any other single spec as a batch of one, and each
-// sweep job on its own.
-func (s *Scheduler) runBatch(batch []*Job) {
-	// Interactive jobs run before batch jobs from the same drained
-	// backlog; the stable sort preserves arrival order within a class.
-	sort.SliceStable(batch, func(i, k int) bool {
-		return classIndex(batch[i].class) < classIndex(batch[k].class)
-	})
-	used := make([]bool, len(batch))
-	for i, job := range batch {
-		if used[i] {
-			continue
+		sort.SliceStable(backlog, func(i, k int) bool {
+			return classIndex(backlog[i].class) < classIndex(backlog[k].class)
+		})
+		for _, job := range backlog {
+			s.run(job)
 		}
-		used[i] = true
-		if job.sweep != nil {
-			s.runSweepJob(job)
-			continue
-		}
-		group := []*Job{job}
-		if job.coalesceKey != "" && !s.cfg.DisableCoalesce {
-			for k := i + 1; k < len(batch); k++ {
-				if !used[k] && batch[k].coalesceKey == job.coalesceKey {
-					used[k] = true
-					group = append(group, batch[k])
-				}
-			}
-		}
-		s.runSpecs(group)
 	}
 }
 
@@ -1002,9 +942,6 @@ func (s *Scheduler) start(job *Job) (context.Context, context.CancelFunc) {
 		} else {
 			job.strace.SetAttrStr(job.runSpan, "engine", job.spec.engineName())
 			job.strace.SetAttrStr(job.runSpan, "draw_order", job.spec.drawOrderVersion())
-			if job.batchSize > 0 {
-				job.strace.SetAttr(job.runSpan, "batch_size", int64(job.batchSize))
-			}
 		}
 	}
 	if s.cfg.JobTimeout > 0 {
@@ -1024,20 +961,23 @@ func (s *Scheduler) rewriteTimeout(ctx context.Context, err error) error {
 	return err
 }
 
-// settle records a job's terminal state from its execution error,
-// observing run duration (when the job actually started) and emitting
-// the job's terminal log line.
-func (s *Scheduler) settle(job *Job, report *Report, err error) {
-	dur := s.observeRun(job)
+// settle records a started job's terminal state from its execution
+// error, observing its run duration and emitting its terminal log
+// line. reports holds the job's results, one per variant, and is read
+// only when err is nil.
+func (s *Scheduler) settle(job *Job, reports []*Report, err error) {
+	_, started, _ := job.Times()
+	dur := time.Since(started)
+	s.metrics.runDur[job.shard].Observe(dur.Seconds())
 	job.endSpans()
 	ci := classIndex(job.class)
 	switch {
 	case err == nil:
 		s.metrics.jobsDone[ci].Inc()
-		job.finish(JobDone, report, nil)
+		job.finish(JobDone, reports, nil)
 		s.logger.Info("job done",
-			"job", job.id, "spec_hash", job.hash, "run_duration", dur,
-			"request_id", job.requestID)
+			"job", job.id, "spec_hash", job.hash, "variants", len(reports),
+			"run_duration", dur, "request_id", job.requestID)
 	case errors.Is(err, context.Canceled):
 		s.metrics.jobsCanceled[ci].Inc()
 		job.finish(JobCanceled, nil, err)
@@ -1056,20 +996,14 @@ func (s *Scheduler) settle(job *Job, report *Report, err error) {
 	s.retire(job)
 }
 
-// observeRun records a finishing job's run duration into its shard's
-// histogram; zero (and unobserved) when the job never started.
-func (s *Scheduler) observeRun(job *Job) time.Duration {
-	_, started, _ := job.Times()
-	if started.IsZero() {
-		return 0
-	}
-	dur := time.Since(started)
-	s.metrics.runDur[job.shard].Observe(dur.Seconds())
-	return dur
-}
-
-// runSweepJob executes a sweep job's variants as one vectorized batch.
-func (s *Scheduler) runSweepJob(job *Job) {
+// run executes one job through a single experiment.RunSweep call. The
+// job is marked running, opens its run span, starts its JobTimeout
+// clock and passes the sched.run fault seam before its first step.
+// The job kind decides only the variant list, the family config and
+// the fan-out: a single spec is one variant whose replications run
+// serially on this worker, outside the sweep gate; a sweep job's
+// tasks fan out through the shared gate.
+func (s *Scheduler) run(job *Job) {
 	if !s.dequeue(job) {
 		return
 	}
@@ -1081,171 +1015,48 @@ func (s *Scheduler) runSweepJob(job *Job) {
 		s.settle(job, nil, s.rewriteTimeout(ctx, err))
 		return
 	}
-	s.metrics.running.Inc()
-	defer s.metrics.running.Dec()
-	s.metrics.markDrawOrder(job.sweep.Family.DrawOrder)
-	s.metrics.sweeps.Inc()
-	sw := job.sweep
-	specs := make([]Spec, len(sw.Variants))
-	variants := make([]experiment.SweepVariant, len(sw.Variants))
-	for i := range sw.Variants {
-		specs[i] = sw.variantSpec(i)
+	specs, hashes := []Spec{job.spec}, []string{job.hash}
+	opt := experiment.SweepOptions{Workers: 1, Counters: &s.sweepCtrs}
+	var proto core.Config
+	var err error
+	if sw := job.sweep; sw != nil {
+		s.metrics.sweeps.Inc()
+		specs, hashes = make([]Spec, len(sw.Variants)), job.variantHashes
+		for i := range specs {
+			specs[i] = sw.variantSpec(i)
+		}
+		proto = sw.familyConfig()
+		opt.Workers, opt.Gate = s.cfg.SweepWorkers, s.sweepGate
+	} else {
+		s.metrics.soloJobs.Inc()
+		// Cannot fail for a validated spec; a failure fails the job.
+		proto, err = job.spec.jobConfig()
+	}
+	opt.OnTask = func(v, lanes int, elapsed time.Duration) {
+		s.observeStepCost(&specs[v], lanes, elapsed)
+	}
+	variants := make([]experiment.SweepVariant, len(specs))
+	for i := range specs {
 		variants[i] = specs[i].sweepVariant()
 		variants[i].Trace, variants[i].Span = job.strace, job.runSpan
 	}
-	results, err := experiment.RunSweep(ctx, sw.familyConfig(), variants, experiment.SweepOptions{
-		Workers:  s.cfg.SweepWorkers,
-		Gate:     s.sweepGate,
-		Counters: &s.sweepCtrs,
-		OnTask: func(v, lanes int, elapsed time.Duration) {
-			s.observeStepCost(&specs[v], lanes, elapsed)
-		},
-	})
-	if err != nil {
-		s.settle(job, nil, err)
-		return
+	variants[0].Trajectory = job.trace // nil for sweep jobs
+	s.metrics.markDrawOrder(specs[0].DrawOrder)
+	s.metrics.running.Inc()
+	var results []experiment.SweepResult
+	if err == nil {
+		results, err = experiment.RunSweep(ctx, proto, variants, opt)
 	}
+	s.metrics.running.Dec()
 	reports := make([]*Report, len(results))
 	for i, res := range results {
 		if res.Err != nil {
-			s.settle(job, nil, s.rewriteTimeout(ctx, res.Err))
-			return
+			err = res.Err
+			break
 		}
-		reports[i] = variantReport(job.variantHashes[i], &specs[i], res)
+		reports[i] = variantReport(hashes[i], &specs[i], res)
 	}
-	dur := s.observeRun(job)
-	s.metrics.jobsDone[classIndex(job.class)].Inc()
-	job.endSpans()
-	job.finishSweep(reports)
-	s.logger.Info("sweep job done",
-		"job", job.id, "spec_hash", job.hash, "variants", len(reports),
-		"run_duration", dur, "request_id", job.requestID)
-	s.retire(job)
-}
-
-// runSpecs executes single-spec jobs of one family as one
-// experiment.RunSweep call, one variant per job, with per-job contexts
-// so each job keeps its own cancellation and timeout.
-//
-// A group down to one live job after dequeue is a solo job: it is
-// marked running, opens its run span, starts its JobTimeout clock and
-// passes the sched.run fault seam before its first step, then runs its
-// replications serially on this worker, outside the sweep gate. Two or
-// more are a coalesced batch: the batch passes the sched.batch fault
-// seam, each job starts when its first task actually begins, and the
-// tasks fan out through the shared sweep gate.
-func (s *Scheduler) runSpecs(group []*Job) {
-	live := make([]*Job, 0, len(group))
-	for _, job := range group {
-		if s.dequeue(job) {
-			live = append(live, job)
-		}
-	}
-	n := len(live)
-	if n == 0 {
-		return
-	}
-	// ctxs and cancels are written by start — before RunSweep for a
-	// solo job, from sweep workers in OnStart for a batch — and read
-	// only after RunSweep returns, which orders every worker's writes
-	// before it.
-	ctxs := make([]context.Context, n)
-	cancels := make([]context.CancelFunc, n)
-	variants := make([]experiment.SweepVariant, n)
-	for i, job := range live {
-		variants[i] = job.spec.sweepVariant()
-		variants[i].Ctx = job.ctx
-		variants[i].Trace = job.strace
-		variants[i].Trajectory = job.trace
-	}
-	opt := experiment.SweepOptions{
-		Workers:  1,
-		Counters: &s.sweepCtrs,
-		OnTask: func(v, lanes int, elapsed time.Duration) {
-			s.observeStepCost(&live[v].spec, lanes, elapsed)
-		},
-	}
-	if n == 1 {
-		job := live[0]
-		s.metrics.soloJobs.Inc()
-		ctxs[0], cancels[0] = s.start(job)
-		// Test-only fault seam: an armed "sched.run" fault fails or
-		// delays the job here, after it is marked running but before
-		// any work.
-		if err := faultinject.Do(ctxs[0], "sched.run"); err != nil {
-			cancels[0]()
-			s.settle(job, nil, s.rewriteTimeout(ctxs[0], err))
-			return
-		}
-		variants[0].Ctx, variants[0].Span = ctxs[0], job.runSpan
-	} else {
-		// Test-only fault seam: an armed "sched.batch" fault fails the
-		// whole assembled batch before any variant runs.
-		if err := faultinject.Do(context.Background(), "sched.batch"); err != nil {
-			for _, job := range live {
-				s.settle(job, nil, err)
-			}
-			return
-		}
-		s.metrics.batches.Inc()
-		s.metrics.batchedJobs.Add(uint64(n))
-		s.metrics.batchSize.Observe(float64(n))
-		for {
-			cur := s.maxBatch.Load()
-			if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {
-				break
-			}
-		}
-		// Each job's running transition — and in particular its
-		// JobTimeout clock — is armed by OnStart when the job's first
-		// task actually begins, not when the batch is assembled: a job
-		// multiplexed behind its batch peers must not be expired by
-		// work it never ran. Each job records task spans into its OWN
-		// request's trace; the run span only exists once OnStart
-		// fires, so the variant's parent span is patched there — the
-		// Once in RunSweep orders the write before every task of this
-		// variant reads it.
-		for i, job := range live {
-			job.batchSize = n
-			variants[i].OnStart = func() context.Context {
-				ctxs[i], cancels[i] = s.start(job)
-				variants[i].Span = job.runSpan
-				return ctxs[i]
-			}
-		}
-		opt.Workers, opt.Gate = s.cfg.SweepWorkers, s.sweepGate
-	}
-	s.metrics.running.Add(float64(n))
-	// Coalescing keys on the family, which includes the draw order, so
-	// the whole group runs one contract version and one topology.
-	s.metrics.markDrawOrder(live[0].spec.DrawOrder)
-	proto, err := live[0].spec.jobConfig()
-	var results []experiment.SweepResult
-	if err == nil {
-		results, err = experiment.RunSweep(context.Background(), proto, variants, opt)
-	}
-	s.metrics.running.Add(float64(-n))
-	for _, cancel := range cancels {
-		if cancel != nil {
-			cancel()
-		}
-	}
-	for i, job := range live {
-		switch {
-		case err != nil:
-			// Family resolution cannot fail for validated specs; fail
-			// the group defensively rather than dropping jobs.
-			s.settle(job, nil, err)
-		case results[i].Err != nil:
-			ctx := ctxs[i]
-			if ctx == nil { // no task ever started (canceled before start)
-				ctx = job.ctx
-			}
-			s.settle(job, nil, s.rewriteTimeout(ctx, results[i].Err))
-		default:
-			s.settle(job, variantReport(job.hash, &job.spec, results[i]), nil)
-		}
-	}
+	s.settle(job, reports, s.rewriteTimeout(ctx, err))
 }
 
 // observeStepCost feeds one finished task's timing to the step-cost

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 )
 
 func newTestScheduler(t *testing.T, cfg SchedulerConfig) *Scheduler {
@@ -588,4 +589,53 @@ func TestSoloJobBypassesSweepGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, "solo job with the sweep gate full", job)
+}
+
+// TestQueuedSoloJobsPassRunSeam pins that every single-spec job passes
+// the sched.run fault seam, including same-family specs that queue up
+// together behind a busy worker and drain in one pass.
+//
+// Deliberately not parallel: the fault-injection seams are
+// process-global.
+func TestQueuedSoloJobsPassRunSeam(t *testing.T) {
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4})
+	blocker := validSpec()
+	blocker.Steps = 40_000_000
+	bjob, err := s.Submit(blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Running rises only once a job is past the seam, so the fault
+	// armed below cannot hit the blocker.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Running != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started running")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	injected := errors.New("injected run fault")
+	defer faultinject.Activate("sched.run", &faultinject.Fault{Err: injected})()
+
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		spec := validSpec()
+		spec.Seed = uint64(700 + i)
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	bjob.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, job := range jobs {
+		if err := job.Wait(ctx); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if job.Status() != JobFailed || !errors.Is(job.Err(), injected) {
+			t.Errorf("job %d: status %s, err %v; want failed with the injected fault",
+				i, job.Status(), job.Err())
+		}
+	}
 }

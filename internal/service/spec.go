@@ -337,7 +337,7 @@ func (s *Spec) Validate() error {
 	perStep := s.perStepCost()
 	if work := horizon*perStep + int64(s.Replications)*buildCost; work > MaxWork {
 		return fmt.Errorf("%w: total work %d (steps×replications×per-step cost %d + per-replication setup) exceeds limit %d",
-			ErrBadSpec, work, perStep, MaxWork)
+			ErrBadSpec, work, perStep, int64(MaxWork))
 	}
 	if err := s.coreConfig(s.Seed).Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)

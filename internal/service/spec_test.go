@@ -410,8 +410,7 @@ func TestSpecDrawOrderCanonicalAndHashed(t *testing.T) {
 
 // TestSweepSpecDrawOrderFamilyAxis pins that the sweep surface carries
 // the version on the family: it normalizes, distinguishes the sweep
-// hash, flows into every variant spec, and partitions the coalescing
-// key so batches never mix contracts.
+// hash, and flows into every variant spec.
 func TestSweepSpecDrawOrderFamilyAxis(t *testing.T) {
 	t.Parallel()
 
@@ -445,17 +444,5 @@ func TestSweepSpecDrawOrderFamilyAxis(t *testing.T) {
 	bad := mk("v9")
 	if err := bad.Validate(); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("family draw_order=v9: Validate = %v, want ErrBadSpec", err)
-	}
-
-	s1, s2 := validSpec(), validSpec()
-	s2.DrawOrder = "v2"
-	s1.Normalize()
-	s2.Normalize()
-	k1, k2 := s1.familyKey(), s2.familyKey()
-	if k1 == "" || k2 == "" {
-		t.Fatalf("coalescible specs lost their family keys: %q, %q", k1, k2)
-	}
-	if k1 == k2 {
-		t.Error("family key ignores draw_order — a batch could mix contract versions")
 	}
 }

@@ -16,9 +16,8 @@ import (
 const MaxSweepVariants = 1024
 
 // SweepFamily is the shared part of a sweep: the option qualities and
-// adoption/exploration parameters that every variant reuses. It is
-// also the coalescing key for concurrently queued single specs — two
-// specs with equal normalized families can run in one batch.
+// adoption/exploration parameters that every variant reuses, resolved
+// once per sweep job into the RunSweep family config.
 type SweepFamily struct {
 	// Qualities are the option success probabilities η_j.
 	Qualities []float64 `json:"qualities"`
@@ -31,10 +30,10 @@ type SweepFamily struct {
 	// δ²/6 default.
 	Mu *float64 `json:"mu,omitempty"`
 	// DrawOrder selects the draw-order contract version for every
-	// variant of the sweep — a family axis, so a batch runs one
-	// contract throughout and coalescing never mixes versions. Absent
-	// or "v1" (normalized to absent, like Spec) is the frozen
-	// per-replication order; "v2" is the replication-block order.
+	// variant of the sweep — a family axis, so a sweep job runs one
+	// contract throughout. Absent or "v1" (normalized to absent, like
+	// Spec) is the frozen per-replication order; "v2" is the
+	// replication-block order.
 	DrawOrder string `json:"draw_order,omitempty"`
 }
 
@@ -148,7 +147,7 @@ func (s *SweepSpec) Validate() error {
 		total += work
 		if total > MaxWork {
 			return fmt.Errorf("%w: summed sweep work %d (through variant %d) exceeds limit %d",
-				ErrBadSpec, total, i, MaxWork)
+				ErrBadSpec, total, i, int64(MaxWork))
 		}
 	}
 	return nil
@@ -195,27 +194,6 @@ func (s *SweepSpec) variantHashes() ([]string, error) {
 		hashes[i] = h
 	}
 	return hashes, nil
-}
-
-// familyKey is the coalescing key of a single spec: the canonical
-// encoding of its family, or "" when the spec cannot join a batch
-// (topology and trace runs carry per-run state the vectorized driver
-// does not share). The spec must be normalized (Validate/Hash do so).
-func (s *Spec) familyKey() string {
-	if s.Topology != nil || s.TraceEvery != 0 {
-		return ""
-	}
-	b, err := json.Marshal(SweepFamily{
-		Qualities: s.Qualities,
-		Beta:      s.Beta,
-		Alpha:     s.Alpha,
-		Mu:        s.Mu,
-		DrawOrder: s.DrawOrder,
-	})
-	if err != nil {
-		return ""
-	}
-	return string(b)
 }
 
 // engineKind maps the spec's engine name onto the core enum.

@@ -213,83 +213,13 @@ func assertReportsEqual(t *testing.T, label string, got, want *Report) {
 	}
 }
 
-// TestSchedulerCoalescesQueuedFamily holds a shard's worker with a
-// blocker, queues several same-family specs behind it, and checks they
-// execute as one batch — visible in the coalesce counters — with
-// results bit-identical to the per-spec path.
-func TestSchedulerCoalescesQueuedFamily(t *testing.T) {
+// TestSchedulerMixedBacklog queues two families and a topology spec
+// behind a blocker on one shard and checks every job of the drained
+// backlog runs on its own and matches its reference report.
+func TestSchedulerMixedBacklog(t *testing.T) {
 	t.Parallel()
 
-	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 8, SweepWorkers: 4})
-	blocker := validSpec()
-	blocker.Steps = 40_000_000
-	bjob, err := s.Submit(blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for bjob.Status() != JobRunning && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if bjob.Status() != JobRunning {
-		t.Fatal("blocker never started")
-	}
-
-	// Same family (same qualities/β), different seeds and sizes: these
-	// queue behind the blocker on the single shard and must coalesce.
-	var jobs []*Job
-	var specs []Spec
-	for i := 0; i < 4; i++ {
-		spec := validSpec()
-		spec.Seed = uint64(100 + i)
-		spec.N = 1000 * (i + 1)
-		job, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, job)
-		specs = append(specs, spec)
-	}
-	bjob.Cancel()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i, job := range jobs {
-		if err := job.Wait(ctx); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if job.Status() != JobDone {
-			t.Fatalf("job %d status %s: %v", i, job.Status(), job.Err())
-		}
-	}
-	st := s.Stats()
-	if st.Batches < 1 {
-		t.Errorf("Batches = %d, want ≥ 1", st.Batches)
-	}
-	if st.BatchedJobs != 4 {
-		t.Errorf("BatchedJobs = %d, want 4", st.BatchedJobs)
-	}
-	if st.MaxBatch != 4 {
-		t.Errorf("MaxBatch = %d, want 4", st.MaxBatch)
-	}
-	if st.CoalesceRate <= 0 {
-		t.Errorf("CoalesceRate = %v, want > 0", st.CoalesceRate)
-	}
-	for i, job := range jobs {
-		spec := specs[i]
-		if err := spec.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		assertReportsEqual(t, fmt.Sprintf("coalesced job %d", i), job.Report(), referenceReport(t, spec))
-	}
-}
-
-// TestSchedulerCoalesceRespectsFamilies mixes two families and a
-// topology spec in one backlog and checks grouping never crosses
-// family lines (every job still completes correctly).
-func TestSchedulerCoalesceRespectsFamilies(t *testing.T) {
-	t.Parallel()
-
-	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 8, SweepWorkers: 2})
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 8})
 	blocker := validSpec()
 	blocker.Steps = 40_000_000
 	bjob, err := s.Submit(blocker)
@@ -333,12 +263,9 @@ func TestSchedulerCoalesceRespectsFamilies(t *testing.T) {
 		}
 		assertReportsEqual(t, fmt.Sprintf("mixed job %d", i), job.Report(), referenceReport(t, spec))
 	}
-	st := s.Stats()
-	if st.BatchedJobs != 4 { // two families of two; the topology spec runs solo
-		t.Errorf("BatchedJobs = %d, want 4 (stats: %+v)", st.BatchedJobs, st)
-	}
-	if st.MaxBatch != 2 {
-		t.Errorf("MaxBatch = %d, want 2", st.MaxBatch)
+	// The blocker and all five queued specs each ran as a solo job.
+	if st := s.Stats(); st.SoloJobs != 6 {
+		t.Errorf("SoloJobs = %d, want 6 (stats: %+v)", st.SoloJobs, st)
 	}
 }
 

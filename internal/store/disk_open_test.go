@@ -363,7 +363,7 @@ func writeOpenStore(tb testing.TB, dir string) {
 		val[i] = byte('a' + i%26)
 	}
 	for i := 0; i < openStoreRecords; i++ {
-		seg.Write(encodeRecord(fmt.Sprintf("%064x", i*2654435761), val[:250+i%128]))
+		seg.Write(encodeRecord(fmt.Sprintf("%064x", int64(i)*2654435761), val[:250+i%128]))
 	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), seg.Bytes(), 0o644); err != nil {
 		tb.Fatal(err)
