@@ -760,8 +760,9 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		}
 	})
 	// Contended regime: every GOMAXPROCS worker hammering one
-	// histogram, the shape of per-shard recording under a loaded
-	// scheduler (scrapes race these writes lock-free).
+	// histogram, the shape of every scheduler worker recording into one
+	// per-class queue-wait histogram under load (scrapes race these
+	// writes lock-free).
 	b.Run("histogram_observe_parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {

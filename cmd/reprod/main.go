@@ -1,6 +1,7 @@
 // Command reprod is the simulation-serving daemon: it exposes the
-// library through internal/service's HTTP API with a bounded sharded
-// scheduler, a batched sweep engine (POST /v1/sweep; see
+// library through internal/service's HTTP API with a bounded job
+// scheduler (one queue per priority class, which every -workers
+// worker takes from), a batched sweep engine (POST /v1/sweep; see
 // -sweep-workers), and a tiered result store — an in-memory LRU front
 // and, with -store-dir set, a crash-safe on-disk segment log behind
 // it, so computed results survive restarts and the server warm-starts
@@ -85,8 +86,8 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	fs.SetOutput(logw)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
-		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker shards executing jobs")
-		queue      = fs.Int("queue", 64, "queued jobs per shard before admission control sheds load")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines executing jobs")
+		queue      = fs.Int("queue", 64, "queued jobs per worker: admission control sheds load once workers × queue jobs wait")
 		cache      = fs.Int("cache", 1024, "cached reports (0 disables storage, keeps single-flight)")
 		retain     = fs.Int("retain", 1024, "finished jobs kept queryable")
 		jobTime    = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock limit once running (0 disables)")
@@ -101,7 +102,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		traceSlow  = fs.Duration("trace-slow", time.Second, "log any request trace at least this long (0 disables)")
 		scrapeInt  = fs.Duration("obs-scrape-interval", time.Second, "metrics history capture cadence (SLO evaluation tick)")
 		obsHistory = fs.Int("obs-history", 300, "registry snapshots retained for SLO windows and /debug/dash")
-		maxCost    = fs.Duration("max-cost", 4*time.Minute, "per-shard predicted wall-clock admission budget once the step-cost profiler is warm (0 disables cost admission)")
+		maxCost    = fs.Duration("max-cost", 4*time.Minute, "predicted wall-clock admission budget per worker (workers × max-cost in all) once the step-cost profiler is warm (0 disables cost admission)")
 		staleCost  = fs.Duration("stale-cost-after", 5*time.Minute, "profiler sample age past which cost admission reverts to the static work bound")
 		brownout   = fs.String("brownout-rule",
 			"brownout: p99(reprod_sched_queue_wait_seconds) < 250ms over 30s",
@@ -169,11 +170,13 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	// -brownout-rule pressure signal plus the SLO engine's burn states.
 	// The scheduler consults its level on every admission.
 	var ctl *loadctl.Controller
+	var brownoutRule *slo.Rule
 	if *brownout != "" {
 		rule, err := slo.ParseRule(*brownout)
 		if err != nil {
 			return fmt.Errorf("bad -brownout-rule: %w", err)
 		}
+		brownoutRule = &rule
 		ctl = loadctl.New(loadctl.Config{
 			Ring:     ring,
 			Registry: reg,
@@ -183,47 +186,12 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		})
 	}
 
-	schedCfg := service.SchedulerConfig{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		RetainJobs:     *retain,
-		JobTimeout:     *jobTime,
-		SweepWorkers:   *sweepW,
-		MaxCost:        *maxCost,
-		StaleCostAfter: *staleCost,
-		Metrics:        reg,
-		Logger:         logger,
-	}
-	if ctl != nil {
-		schedCfg.LoadControl = ctl
-	}
-	sched, err := service.NewScheduler(schedCfg)
-	if err != nil {
-		return err
-	}
-	// One collection loop drives both control planes: the SLO engine's
-	// Tick snapshots the registry into the ring and evaluates the
-	// rules, then the brownout controller reads the fresh window.
-	go func() {
-		ticker := time.NewTicker(*scrapeInt)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case now := <-ticker.C:
-				engine.Tick(now)
-				if ctl != nil {
-					ctl.Tick(now)
-				}
-			}
-		}
-	}()
 	// Result storage: in-proc LRU alone, or — with -store-dir — the
 	// LRU fronting a crash-safe disk segment log, so the cache
 	// warm-starts across restarts. The cache owns the backend and
 	// flushes it on Close.
 	var resultCache *service.Cache
+	var err error
 	if *storeDir != "" {
 		opening := time.Now()
 		disk, err := store.OpenDisk(*storeDir, store.DiskOptions{MaxBytes: *storeMax})
@@ -257,7 +225,21 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	// close flushes pending spills to disk.
 	defer resultCache.Close()
 
-	ln, err := net.Listen("tcp", *addr)
+	schedCfg := service.SchedulerConfig{
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		RetainJobs:     *retain,
+		JobTimeout:     *jobTime,
+		SweepWorkers:   *sweepW,
+		MaxCost:        *maxCost,
+		StaleCostAfter: *staleCost,
+		Metrics:        reg,
+		Logger:         logger,
+	}
+	if ctl != nil {
+		schedCfg.LoadControl = ctl
+	}
+	sched, err := service.NewScheduler(schedCfg)
 	if err != nil {
 		return err
 	}
@@ -269,6 +251,15 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		serverOpts = append(serverOpts, service.WithLoadControl(ctl))
 	}
 	app := service.NewServer(sched, resultCache, serverOpts...)
+	if err := checkRules(reg, rules, brownoutRule); err != nil {
+		sched.Close()
+		return err
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		sched.Close()
+		return err
+	}
 	srv := &http.Server{
 		Handler:           app,
 		ReadHeaderTimeout: 10 * time.Second,
@@ -285,6 +276,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			ln.Close()
+			sched.Close()
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		dmux := http.NewServeMux()
@@ -320,6 +312,24 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		debugLn = dln
 	}
 
+	// One collection loop drives both control planes: the SLO engine's
+	// Tick snapshots the registry into the ring and evaluates the
+	// rules, then the brownout controller reads the fresh window.
+	go func() {
+		ticker := time.NewTicker(*scrapeInt)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case now := <-ticker.C:
+				engine.Tick(now)
+				if ctl != nil {
+					ctl.Tick(now)
+				}
+			}
+		}
+	}()
 	if ready != nil {
 		ready <- ln.Addr()
 		// A second send reports the debug listener (tests binding
@@ -376,6 +386,25 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		logger.Info("shutdown: drained cleanly")
 	case <-shutdownCtx.Done():
 		logger.Warn("shutdown: drain budget exceeded, exiting with jobs in flight")
+	}
+	return nil
+}
+
+// checkRules refuses rules the metrics ring can never read data for.
+// The ring reads an unknown family or label as no data, which the SLO
+// engine and the brownout controller count as healthy, so such a rule
+// would stay silent forever. Call it once every family is registered.
+func checkRules(reg *obs.Registry, sloRules []slo.Rule, brownout *slo.Rule) error {
+	snap := reg.Collect(nil, time.Now())
+	for _, rule := range sloRules {
+		if err := rule.Check(snap); err != nil {
+			return fmt.Errorf("bad -slo-rule: %w", err)
+		}
+	}
+	if brownout != nil {
+		if err := brownout.Check(snap); err != nil {
+			return fmt.Errorf("bad -brownout-rule: %w", err)
+		}
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func TestDaemonOverloadSmoke(t *testing.T) {
 	base, _ := startDaemon(t,
 		"-workers", "1", "-queue", "8",
 		"-obs-scrape-interval", "250ms",
-		"-slo-rule", "interactive_wait_p99: p99(reprod_sched_class_queue_wait_seconds{class=interactive}) < 500ms over 5s",
+		"-slo-rule", "interactive_wait_p99: p99(reprod_sched_queue_wait_seconds{class=interactive}) < 500ms over 5s",
 		"-slo-rule", "shed_rate: rate(reprod_sched_overload_rejections_total) < 1 over 5s",
 		"-brownout-rule", "brownout: p99(reprod_sched_queue_wait_seconds) < 150ms over 1s",
 	)

@@ -14,8 +14,9 @@
 // validates through core.Config.Validate — arithmetically, with
 // per-request work and topology-edge bounds, never materializing a
 // group or graph — and hashes deterministically to a cache key, a
-// bounded sharded job scheduler with admission control, per-job
-// cancellation, and a server-side job timeout, a result cache with
+// bounded job scheduler (one FIFO per priority class, which every
+// worker takes from) with admission control, per-job cancellation,
+// and a server-side job timeout, a result cache with
 // single-flight deduplication over a pluggable storage backend, and
 // net/http handlers (synchronous POST /v1/simulate, batched
 // POST /v1/sweep, asynchronous POST /v1/jobs + GET /v1/jobs/{id},
@@ -30,9 +31,9 @@
 // RunSweep is the scheduler's only replication loop, and every job
 // takes one run path into it: the job is marked running, passes the
 // sched.run fault seam and makes one RunSweep call. A single spec is a
-// sweep of one variant whose replications run serially on its shard
-// worker, outside the sweep gate, bit-identical to running the spec by
-// hand; a sweep job's tasks fan out through the gate shared by all
+// sweep of one variant whose replications run serially on the worker
+// that took it, outside the sweep gate, bit-identical to running the
+// spec by hand; a sweep job's tasks fan out through the gate shared by all
 // sweep jobs (-sweep-workers slots).
 //
 // Result storage lives in internal/store, tiered behind the
@@ -169,13 +170,11 @@
 //	http_request_duration_seconds{route}   histogram per-route latency
 //	http_requests_inflight                 gauge     requests being served now
 //	http_response_errors_total             counter   response encode/write failures
-//	sched_queue_wait_seconds{shard}        histogram queue wait (the SLO signal)
-//	sched_run_duration_seconds{shard}      histogram job run duration
-//	sched_queue_depth{shard}               gauge     live backlog per shard
+//	sched_queue_wait_seconds{class}        histogram queue wait per priority class (the SLO signal)
+//	sched_run_duration_seconds             histogram job run duration
+//	sched_queue_depth{class}               gauge     live backlog per priority class
 //	sched_running                          gauge     jobs executing now
-//	sched_class_queue_wait_seconds{class}  histogram queue wait per priority class
-//	sched_class_queue_depth{class}         gauge     live backlog per priority class
-//	sched_pending_cost_seconds{shard}      gauge     reserved predicted wall-clock per shard
+//	sched_pending_cost_seconds             gauge     reserved predicted wall-clock of admitted work
 //	sched_jobs_total{outcome,class}        counter   done | failed | canceled, per class
 //	sched_job_timeouts_total               counter   jobs killed by the server limit
 //	sched_overload_rejections_total{class,reason}
@@ -273,21 +272,25 @@
 // and every rejection tells the client when to come back. Three
 // mechanisms compose:
 //
-// Calibrated admission. -max-cost bounds each job's predicted
-// wall-clock cost — the step-cost profiler's measured ns/step/lane ×
-// steps × replications, summed over a sweep's variants — on top of the
-// static -max-work unit bound. The prediction is only trusted when the
-// profiler cell has ≥3 samples and the newest is younger than
-// -stale-cost-after; a cold or stale profiler reverts admission to the
-// static bound (the regime change is logged once, not per request).
-// Admitted jobs reserve their predicted cost against their shard
+// Calibrated admission. -max-cost is each worker's share of a
+// wall-clock admission budget: a job is admitted only while the
+// predicted cost of all admitted, unfinished work stays within
+// -workers × -max-cost. A job's predicted cost is the step-cost
+// profiler's measured ns/step/lane × steps × replications, summed over
+// a sweep's variants; the budget sits on top of the static per-job
+// work bound (service.MaxWork, a constant). The prediction is only
+// trusted when the profiler cell has ≥3 samples and the newest is
+// younger than -stale-cost-after; a cold or stale profiler reverts
+// admission to the static bound (the regime change is logged once, not
+// per request). Admitted jobs reserve their predicted cost
 // (reprod_sched_pending_cost_seconds) and release it on completion, so
-// the budget bounds queued wall-clock, not just queued count.
+// the budget bounds queued wall-clock, not just queued count; a cost
+// shed's Retry-After is the reserved cost divided by -workers.
 //
 // Priority classes. A spec's optional "priority" field is
 // "interactive" (the /v1/simulate default) or "batch" (the /v1/sweep
-// default). Interactive jobs are dequeued ahead of batch within each
-// shard's drained backlog, and every queue/outcome/shed metric carries
+// default). Every worker takes the oldest queued interactive job
+// before any batch job, and every queue/outcome/shed metric carries
 // the class label, so the contract — interactive survives overload at
 // a higher success ratio — is measurable, not aspirational.
 //
@@ -334,7 +337,7 @@
 // a live trace, pinned by BenchmarkSpanOverhead; untraced paths pay a
 // nil-check only). The root span is keyed by the request ID; the
 // layers below add validate, admission, cache.get/cache.put,
-// queue.wait (per shard), and run spans, and every job's run nests one
+// queue.wait, and run spans, and every job's run nests one
 // replication span per v1 replication or replication.block span per
 // v2 block (single-spec and sweep jobs alike execute through
 // experiment.RunSweep). The last -trace-ring completed

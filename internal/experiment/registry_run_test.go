@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,8 @@ import (
 // its default options — the exact path cmd/repro takes — and checks
 // structural invariants of the results. The defaults are sized to run
 // in milliseconds each, so this doubles as a regression test for the
-// full harness.
+// full harness. Each experiment's "replay" input runs it a second time
+// and requires every metric to match the first run bit for bit.
 func TestAllDefaultExperimentsRun(t *testing.T) {
 	t.Parallel()
 
@@ -47,6 +49,20 @@ func TestAllDefaultExperimentsRun(t *testing.T) {
 					}
 				}
 			}
+			t.Run("replay", func(t *testing.T) {
+				again, err := spec.Run()
+				if err != nil {
+					t.Fatalf("%s replay: %v", spec.ID, err)
+				}
+				for key, v := range res.Metrics {
+					if w, ok := again.Metrics[key]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+						t.Errorf("%s: metric %q = %v, then %v on replay", spec.ID, key, v, w)
+					}
+				}
+				if len(again.Metrics) != len(res.Metrics) {
+					t.Errorf("%s: %d metrics, then %d on replay", spec.ID, len(res.Metrics), len(again.Metrics))
+				}
+			})
 		})
 	}
 }

@@ -9,6 +9,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -294,18 +295,18 @@ func BarabasiAlbert(n, attach int, r *rng.RNG) (*Graph, error) {
 	if attach == 1 {
 		start = 2
 	}
-	chosen := make(map[int]bool, attach)
+	// chosen keeps the targets in draw order, so one seed builds one
+	// graph (ranging over a map would follow Go's randomized order).
+	chosen := make([]int, 0, attach)
 	for u := start; u < n; u++ {
-		for k := range chosen {
-			delete(chosen, k)
-		}
+		chosen = chosen[:0]
 		for len(chosen) < attach {
 			v := endpoints[r.Intn(len(endpoints))]
-			if v != u && !chosen[v] {
-				chosen[v] = true
+			if v != u && !slices.Contains(chosen, v) {
+				chosen = append(chosen, v)
 			}
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			addEdge(u, v)
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,26 @@ func TestBarabasiAlbertAttachOne(t *testing.T) {
 	}
 	if g.Edges() != 99 {
 		t.Errorf("attach=1 edges = %d, want 99 (tree)", g.Edges())
+	}
+}
+
+// TestBarabasiAlbertDeterministic pins replay: two builds from one
+// seed have identical neighbour lists, in order.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	t.Parallel()
+
+	a, err := BarabasiAlbert(300, 3, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BarabasiAlbert(300, 3, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < a.N(); u++ {
+		if !slices.Equal(a.Neighbors(u), b.Neighbors(u)) {
+			t.Fatalf("node %d: neighbours %v, then %v from the same seed", u, a.Neighbors(u), b.Neighbors(u))
+		}
 	}
 }
 

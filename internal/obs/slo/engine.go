@@ -78,9 +78,9 @@ type ruleState struct {
 }
 
 // Engine evaluates a rule set against a tsdb.Ring every tick. Wire it
-// with New, then either drive Tick from your own loop (tests) or call
-// Run with the collection interval (the daemon). All read accessors
-// are safe concurrently with Tick.
+// with New, then drive Tick from a collection loop (cmd/reprod ticks
+// it every -obs-scrape-interval, followed by the brownout controller).
+// All read accessors are safe concurrently with Tick.
 type Engine struct {
 	ring     *tsdb.Ring
 	logger   *slog.Logger
@@ -100,7 +100,7 @@ type Config struct {
 	// Rules is the evaluated rule set.
 	Rules []Rule
 	// Interval is the expected tick cadence (informational: exported
-	// on /v1/slo and used by Run).
+	// on /v1/slo and the dashboard).
 	Interval time.Duration
 	// Logger receives state-transition lines; nil discards.
 	Logger *slog.Logger
@@ -132,36 +132,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Rules returns the configured rules in evaluation order.
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Rule, len(e.rules))
-	for i, rs := range e.rules {
-		out[i] = rs.rule
-	}
-	return out
-}
-
-// Run collects and evaluates every interval until ctx is done — the
-// daemon's collector loop. The first tick fires after one interval.
-func (e *Engine) Run(ctx context.Context) {
-	interval := e.interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			e.Tick(now)
-		}
-	}
-}
-
 // Tick captures one registry snapshot into the ring and evaluates
 // every rule against the updated history. now is injectable so tests
 // drive deterministic clocks; production passes time.Now().
@@ -177,25 +147,9 @@ func (e *Engine) Tick(now time.Time) {
 // evaluate runs one rule at one instant. Called under e.mu.
 func (e *Engine) evaluate(rs *ruleState, now time.Time) {
 	r := &rs.rule
-	var v float64
-	var ok bool
-	switch r.Kind {
-	case ExprQuantile:
-		v, ok = e.ring.Quantile(r.Sel, r.Q, r.Window)
-	case ExprRate:
-		v, ok = e.ring.Rate(r.Sel, r.Window)
-	case ExprValue:
-		v, ok = e.ring.Gauge(r.Sel)
-	}
+	v, ok := r.Eval(e.ring)
 	noData := !ok || math.IsNaN(v)
-	violated := false
-	if !noData {
-		if r.Less {
-			violated = v >= r.Threshold
-		} else {
-			violated = v <= r.Threshold
-		}
-	}
+	violated := !noData && r.Violates(v, 1)
 
 	rs.ticks[rs.next] = tick{at: now, v: v, violated: violated}
 	rs.next = (rs.next + 1) % len(rs.ticks)

@@ -10,10 +10,13 @@ package slo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
 
@@ -73,6 +76,53 @@ func (r Rule) String() string {
 		r.Name, r.Expr, op, strconv.FormatFloat(r.Threshold, 'g', -1, 64), r.Window)
 }
 
+// Eval reads the rule's windowed value from ring: the quantile, rate,
+// or gauge value its kind names. ok is false when the window holds no
+// data for the selector.
+func (r Rule) Eval(ring *tsdb.Ring) (v float64, ok bool) {
+	switch r.Kind {
+	case ExprQuantile:
+		return ring.Quantile(r.Sel, r.Q, r.Window)
+	case ExprRate:
+		return ring.Rate(r.Sel, r.Window)
+	default:
+		return ring.Gauge(r.Sel)
+	}
+}
+
+// Violates reports whether v breaks the objective with the threshold
+// scaled by margin (1 for the objective itself; the brownout
+// controller's calm test uses a margin below 1).
+func (r Rule) Violates(v, margin float64) bool {
+	thr := r.Threshold * margin
+	if r.Less {
+		return v >= thr
+	}
+	return v <= thr
+}
+
+// Check returns an error when the rule can never read data from the
+// registry captured in snap: its metric family is missing, a selector
+// label is not one of the family's label names, or a quantile rule
+// names a family that is not a histogram. The ring reads each of those
+// as no data, which the engine and the brownout controller count as
+// healthy, so such a rule would stay silent forever.
+func (r Rule) Check(snap *obs.Snapshot) error {
+	f := snap.Family(r.Sel.Metric)
+	if f == nil {
+		return fmt.Errorf("slo: rule %q: no metric family %q", r.Name, r.Sel.Metric)
+	}
+	for _, k := range slices.Sorted(maps.Keys(r.Sel.Labels)) {
+		if !slices.Contains(f.LabelNames, k) {
+			return fmt.Errorf("slo: rule %q: %s has no label %q (labels %q)", r.Name, f.Name, k, f.LabelNames)
+		}
+	}
+	if r.Kind == ExprQuantile && f.Kind != obs.KindHistogram {
+		return fmt.Errorf("slo: rule %q: quantile of %s, a %s, not a histogram", r.Name, f.Name, f.Kind)
+	}
+	return nil
+}
+
 // ParseRule parses one rule from the -slo-rule DSL:
 //
 //	name: fn(metric{label=value,...}) OP threshold over window [budget N%]
@@ -86,7 +136,7 @@ func (r Rule) String() string {
 //
 //	queue_wait_p99: p99(reprod_sched_queue_wait_seconds) < 250ms over 1m
 //	shed_rate: rate(reprod_sched_overload_rejections_total) < 1 over 1m budget 5%
-//	queue_depth: value(reprod_sched_queue_depth{shard=0}) < 64 over 30s
+//	queue_depth: value(reprod_sched_queue_depth{class=batch}) < 64 over 30s
 func ParseRule(s string) (Rule, error) {
 	var r Rule
 	name, rest, ok := strings.Cut(s, ":")

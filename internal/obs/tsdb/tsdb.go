@@ -31,7 +31,7 @@ import (
 // Selector names the series a windowed query aggregates: a metric
 // family plus optional label equality matches. A nil/empty Labels map
 // matches (and sums) every child in the family — the common case for
-// "p99 across all shards".
+// "p99 across all priority classes".
 type Selector struct {
 	Metric string
 	Labels map[string]string

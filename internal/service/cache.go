@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/obs/span"
+	"repro/internal/service/loadctl"
 	"repro/internal/store"
 )
 
@@ -168,10 +169,11 @@ func (c *Cache) claim(key string) (report *Report, f *flight, lead bool) {
 // follower retries Do once (re-checking the cache, joining a newer
 // flight, or leading its own) instead of amplifying one momentary
 // rejection across every concurrent identical request. The exception
-// is a brownout shed (ErrShed with Level >= 1): the controller is
-// deliberately rejecting this class of work system-wide, so the
-// follower observes the leader's ErrShed as-is — retrying would
-// resubmit exactly the traffic the brownout exists to turn away.
+// is a brownout shed (ErrShed with Level >= loadctl.LevelShedBatch):
+// the controller is deliberately rejecting this class of work
+// system-wide, so the follower observes the leader's ErrShed as-is —
+// retrying would resubmit exactly the traffic the brownout exists to
+// turn away.
 //
 // When ctx carries a span trace, the lookup is recorded as a
 // "cache.get" span whose outcome attr classifies the call (hit, join,
@@ -219,7 +221,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*Report, err
 // brownout (as opposed to a momentary queue-full or cost rejection).
 func isBrownoutShed(err error) bool {
 	var shed *ErrShed
-	return errors.As(err, &shed) && shed.Level >= 1
+	return errors.As(err, &shed) && shed.Level >= loadctl.LevelShedBatch
 }
 
 // lead runs the computation for one flight and publishes the result.

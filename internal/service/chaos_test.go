@@ -43,7 +43,7 @@ func TestChaosOverloadShedsGracefully(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := tsdb.NewRing(reg, 512)
 	engineRule, err := slo.ParseRule(
-		"interactive_wait_p99: p99(reprod_sched_class_queue_wait_seconds{class=interactive}) < 250ms over 2s")
+		"interactive_wait_p99: p99(reprod_sched_queue_wait_seconds{class=interactive}) < 250ms over 2s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestChaosOverloadShedsGracefully(t *testing.T) {
 
 	// The ring — not private state — is the record of what happened.
 	interSel := tsdb.Selector{
-		Metric: "reprod_sched_class_queue_wait_seconds",
+		Metric: "reprod_sched_queue_wait_seconds",
 		Labels: map[string]string{"class": ClassInteractive},
 	}
 	if p99, ok := ring.Quantile(interSel, 0.99, now.Sub(t0)); !ok {

@@ -69,12 +69,6 @@ type Server struct {
 // ServerOption customizes NewServer.
 type ServerOption func(*Server)
 
-// WithObs directs the server's metrics into reg instead of the
-// scheduler's registry.
-func WithObs(reg *obs.Registry) ServerOption {
-	return func(s *Server) { s.reg = reg }
-}
-
 // WithLogger sets the structured logger for request and response
 // events. The default discards.
 func WithLogger(l *slog.Logger) ServerOption {
@@ -113,21 +107,18 @@ func WithTraces(rec *span.Recorder) ServerOption {
 }
 
 // NewServer wires the routes and joins the HTTP, cache, and store
-// metrics to the scheduler's registry (or the one given via WithObs),
-// so the default stack exposes the whole serving pipeline on one
-// /metrics page.
+// metrics to the scheduler's registry, so the stack exposes the whole
+// serving pipeline on one /metrics page.
 func NewServer(sched *Scheduler, cache *Cache, opts ...ServerOption) *Server {
 	s := &Server{
 		sched: sched,
 		cache: cache,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
+		reg:   sched.Registry(),
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.reg == nil {
-		s.reg = sched.Registry()
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -222,9 +213,6 @@ func (s *Server) StartDrain() {
 		s.logger.Info("drain started: readiness now failing")
 	}
 }
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // statusRecorder captures the response status for the middleware (an
 // unset status means an implicit 200 on first write). It passes Flush
@@ -404,7 +392,7 @@ const (
 
 // retryAfterSeconds derives the Retry-After hint for one rejection.
 // A shed error carrying its own backlog estimate (cost admission
-// knows the shard's reserved wall-clock) wins; otherwise the hint is
+// knows the reserved wall-clock per worker) wins; otherwise the hint is
 // the measured drain time — (queued + running) × mean run duration /
 // workers — from the history ring. Both are clamped to [1s, 30s];
 // without data the hint degrades to the old static 1.
@@ -430,8 +418,8 @@ func (s *Server) retryAfterSeconds(err error) int {
 	return minRetryAfter
 }
 
-// writeSyncError maps a synchronous execution error onto its status
-// code (shared by /v1/simulate and /v1/sweep).
+// writeSyncError maps a submission or synchronous execution error onto
+// its status code (shared by /v1/simulate, /v1/sweep and /v1/jobs).
 func (s *Server) writeSyncError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -637,19 +625,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	as := tr.Start("admission", root)
 	job, err := s.sched.SubmitSpanned(spec, hash, obs.RequestID(r.Context()), tr, root)
 	tr.End(as)
-	switch {
-	case err == nil:
-		s.writeJSON(w, r, http.StatusAccepted, jobView(job))
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(err)))
-		s.writeError(w, r, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, r, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrBadSpec):
-		s.writeError(w, r, http.StatusBadRequest, err)
-	default:
-		s.writeError(w, r, http.StatusInternalServerError, err)
+	if err != nil {
+		s.writeSyncError(w, r, err)
+		return
 	}
+	s.writeJSON(w, r, http.StatusAccepted, jobView(job))
 }
 
 // lookupJob resolves {id}, writing 404 on unknown ids.

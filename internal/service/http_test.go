@@ -640,7 +640,7 @@ func TestSimulateBodyLimit(t *testing.T) {
 }
 
 // TestSimulateJobTimeoutResponds504 checks the review scenario where a
-// heavy-but-admitted synchronous job could pin a shard worker forever:
+// heavy-but-admitted synchronous job could pin a worker forever:
 // with a server-side JobTimeout the request comes back 504 and the
 // worker is free to serve the next job.
 func TestSimulateJobTimeoutResponds504(t *testing.T) {
@@ -658,7 +658,7 @@ func TestSimulateJobTimeoutResponds504(t *testing.T) {
 		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, raw)
 	}
 
-	// The shard worker must be free again: a small job completes.
+	// The worker must be free again: a small job completes.
 	resp, raw = postJSON(t, ts.URL+"/v1/simulate", acceptanceSpec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-timeout status = %d (%s), want 200", resp.StatusCode, raw)

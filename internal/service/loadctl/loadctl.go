@@ -34,9 +34,9 @@ const (
 	LevelNone = 0
 	// LevelShedBatch: reject new batch-class submissions.
 	LevelShedBatch = 1
-	// LevelTightenInteractive: additionally shrink the interactive
-	// per-shard cost budget (the scheduler divides it by its tighten
-	// factor).
+	// LevelTightenInteractive: additionally shrink the cost budget
+	// interactive work is admitted against (the scheduler divides the
+	// pool's budget by its tighten factor).
 	LevelTightenInteractive = 2
 	// LevelShedAll: reject every submission; only cached results are
 	// served.
@@ -123,10 +123,11 @@ func (c *Controller) Level() int { return int(c.level.Load()) }
 // the hysteresis bands. It never collects the ring — the SLO engine
 // (or the test) owns the collection tick.
 func (c *Controller) Tick(now time.Time) {
-	v, ok := c.eval()
+	rule := &c.cfg.Rule
+	v, ok := rule.Eval(c.cfg.Ring)
 	noData := !ok || math.IsNaN(v)
 
-	pressured := !noData && c.violates(v)
+	pressured := !noData && rule.Violates(v, 1)
 	if !pressured && c.cfg.Engine != nil {
 		for _, r := range c.cfg.Engine.Status(now).Rules {
 			if r.State == slo.StateBreach.String() || r.BurnFast >= 1 {
@@ -138,7 +139,7 @@ func (c *Controller) Tick(now time.Time) {
 	// Calm requires clearing the threshold with margin; an empty
 	// window (no recent traffic) is calm too, or an idle server could
 	// never relax.
-	calm := noData || !c.violatesScaled(v, c.cfg.RelaxMargin)
+	calm := noData || !rule.Violates(v, c.cfg.RelaxMargin)
 	if pressured {
 		calm = false
 	}
@@ -167,29 +168,6 @@ func (c *Controller) Tick(now time.Time) {
 		// restart both streak counters.
 		c.hot, c.calm = 0, 0
 	}
-}
-
-// eval reads the rule's windowed value from the ring.
-func (c *Controller) eval() (float64, bool) {
-	r := &c.cfg.Rule
-	switch r.Kind {
-	case slo.ExprQuantile:
-		return c.cfg.Ring.Quantile(r.Sel, r.Q, r.Window)
-	case slo.ExprRate:
-		return c.cfg.Ring.Rate(r.Sel, r.Window)
-	default:
-		return c.cfg.Ring.Gauge(r.Sel)
-	}
-}
-
-func (c *Controller) violates(v float64) bool { return c.violatesScaled(v, 1) }
-
-func (c *Controller) violatesScaled(v float64, margin float64) bool {
-	thr := c.cfg.Rule.Threshold * margin
-	if c.cfg.Rule.Less {
-		return v >= thr
-	}
-	return v <= thr
 }
 
 // set changes the level. Called under c.mu.

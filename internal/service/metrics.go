@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -22,12 +21,10 @@ import (
 //	reprod_http_request_duration_seconds{route}   histogram per-route latency
 //	reprod_http_requests_inflight                 gauge     requests currently being served
 //	reprod_http_response_errors_total             counter   response encode/write failures
-//	reprod_sched_queue_wait_seconds{shard}        histogram queue-wait per shard (the SLO signal)
-//	reprod_sched_class_queue_wait_seconds{class}  histogram queue-wait per priority class
-//	reprod_sched_run_duration_seconds{shard}      histogram job run duration per shard
-//	reprod_sched_queue_depth{shard}               gauge     live backlog per shard
-//	reprod_sched_class_queue_depth{class}         gauge     live backlog per priority class
-//	reprod_sched_pending_cost_seconds{shard}      gauge     predicted wall-clock backlog per shard
+//	reprod_sched_queue_wait_seconds{class}        histogram queue-wait per priority class (the SLO signal)
+//	reprod_sched_run_duration_seconds             histogram job run duration
+//	reprod_sched_queue_depth{class}               gauge     live backlog per priority class
+//	reprod_sched_pending_cost_seconds             gauge     predicted wall-clock cost of admitted work
 //	reprod_sched_running                          gauge     jobs executing now
 //	reprod_sched_jobs_total{outcome,class}        counter   terminal jobs: done|failed|canceled, per class
 //	reprod_sched_job_timeouts_total               counter   jobs killed by the server time limit
@@ -75,14 +72,12 @@ import (
 type schedMetrics struct {
 	reg *obs.Registry
 
-	queueWait []*obs.Histogram // per shard
-	runDur    []*obs.Histogram // per shard
-	depth     []*obs.Gauge     // per shard
+	// Per-class handles are indexed by classIndex (0 interactive,
+	// 1 batch).
+	queueWait [numClasses]*obs.Histogram
+	depth     [numClasses]*obs.Gauge
+	runDur    *obs.Histogram
 	running   *obs.Gauge
-
-	// Per-class views, indexed by classIndex (0 interactive, 1 batch).
-	classQueueWait [numClasses]*obs.Histogram
-	classDepth     [numClasses]*obs.Gauge
 
 	jobsDone     [numClasses]*obs.Counter
 	jobsFailed   [numClasses]*obs.Counter
@@ -106,44 +101,29 @@ type schedMetrics struct {
 }
 
 // newSchedMetrics registers the scheduler families and pre-resolves
-// every per-shard child, so the dequeue and settle paths never touch
+// every per-class child, so the dequeue and settle paths never touch
 // the registry.
-func newSchedMetrics(reg *obs.Registry, workers int, sweepCtrs *experiment.SweepCounters, pending []atomic.Int64) *schedMetrics {
+func newSchedMetrics(reg *obs.Registry, sweepCtrs *experiment.SweepCounters, pending *atomic.Int64) *schedMetrics {
 	m := &schedMetrics{reg: reg}
 	lat := obs.LatencyBuckets()
-	qw := reg.HistogramVec("reprod_sched_queue_wait_seconds",
-		"Time jobs spent queued before a worker picked them up, per shard.", lat, "shard")
-	rd := reg.HistogramVec("reprod_sched_run_duration_seconds",
-		"Job execution wall-clock time, per shard.", lat, "shard")
-	dp := reg.GaugeVec("reprod_sched_queue_depth",
-		"Jobs queued and not yet picked up, per shard.", "shard")
-	pc := reg.GaugeVec("reprod_sched_pending_cost_seconds",
-		"Predicted wall-clock cost of admitted-but-unfinished work, per shard (0 while the cost model is cold).",
-		"shard")
-	for i := 0; i < workers; i++ {
-		shard := strconv.Itoa(i)
-		m.queueWait = append(m.queueWait, qw.With(shard))
-		m.runDur = append(m.runDur, rd.With(shard))
-		m.depth = append(m.depth, dp.With(shard))
-		p := &pending[i]
-		pc.WithFunc(func() float64 {
-			return time.Duration(p.Load()).Seconds()
-		}, shard)
-	}
+	m.runDur = reg.Histogram("reprod_sched_run_duration_seconds", "Job execution wall-clock time.", lat)
+	reg.GaugeFunc("reprod_sched_pending_cost_seconds",
+		"Predicted wall-clock cost of admitted-but-unfinished work (0 while the cost model is cold).",
+		func() float64 { return time.Duration(pending.Load()).Seconds() })
 	m.running = reg.Gauge("reprod_sched_running", "Jobs executing right now.")
 
-	cqw := reg.HistogramVec("reprod_sched_class_queue_wait_seconds",
+	qw := reg.HistogramVec("reprod_sched_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up, per priority class.", lat, "class")
-	cdp := reg.GaugeVec("reprod_sched_class_queue_depth",
+	dp := reg.GaugeVec("reprod_sched_queue_depth",
 		"Jobs queued and not yet picked up, per priority class.", "class")
 	jobs := reg.CounterVec("reprod_sched_jobs_total",
 		"Jobs reaching a terminal state, by outcome and priority class.", "outcome", "class")
 	shed := reg.CounterVec("reprod_sched_overload_rejections_total",
-		"Submissions rejected by admission control, by priority class and reason (queue_full: shard queue at capacity; cost: predicted wall-clock cost over the shard budget; brownout: shed by the load controller).",
+		"Submissions rejected by admission control, by priority class and reason (queue_full: job queue at capacity; cost: predicted wall-clock cost over the pool budget; brownout: shed by the load controller).",
 		"class", "reason")
 	for ci, class := range classNames {
-		m.classQueueWait[ci] = cqw.With(class)
-		m.classDepth[ci] = cdp.With(class)
+		m.queueWait[ci] = qw.With(class)
+		m.depth[ci] = dp.With(class)
 		m.jobsDone[ci] = jobs.With("done", class)
 		m.jobsFailed[ci] = jobs.With("failed", class)
 		m.jobsCanceled[ci] = jobs.With("canceled", class)
@@ -191,15 +171,6 @@ func (m *schedMetrics) markDrawOrder(version string) {
 		return
 	}
 	m.drawOrderV1.Set(1)
-}
-
-// queuedTotal sums the live per-shard depth gauges.
-func (m *schedMetrics) queuedTotal() int {
-	var total float64
-	for _, g := range m.depth {
-		total += g.Value()
-	}
-	return int(total)
 }
 
 // registerCacheMetrics exports the result cache's counters and its

@@ -28,7 +28,7 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 	t0 := time.Now()
 	ring.Collect(t0)
 	for i := 0; i < 10; i++ {
-		sched.metrics.runDur[0].Observe(2.0)
+		sched.metrics.runDur.Observe(2.0)
 	}
 	sched.metrics.depth[0].Add(10)
 	ring.Collect(t0.Add(20 * time.Second))

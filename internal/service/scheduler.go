@@ -2,12 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,12 +15,13 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/service/loadctl"
 	"repro/internal/trace"
 )
 
 var (
 	// ErrOverloaded reports that admission control rejected a job
-	// because the target shard's queue is full.
+	// because the job queue is full.
 	ErrOverloaded = errors.New("service: overloaded: job queue full")
 	// ErrClosed reports a submission to a closed scheduler.
 	ErrClosed = errors.New("service: scheduler closed")
@@ -32,20 +31,20 @@ var (
 	// JobTimeout. Work admitted within the MaxWork budget can still be
 	// slow on a loaded machine; the timeout bounds wall-clock time so
 	// no job — in particular an uncancelable synchronous single-flight
-	// leader — can occupy a shard worker until process restart.
+	// leader — can occupy a worker until process restart.
 	ErrJobTimeout = errors.New("service: job exceeded server time limit")
 )
 
 // The scheduler's priority classes. Interactive work dequeues ahead
-// of batch work within each drained pass and is the last to be shed
-// under brownout; batch work sheds first.
+// of any queued batch work and is the last to be shed under brownout;
+// batch work sheds first.
 const (
 	ClassInteractive = "interactive"
 	ClassBatch       = "batch"
 )
 
-// numClasses sizes the per-class metric arrays; classNames indexes
-// the vocabulary by classIndex.
+// numClasses sizes the per-class queues and metric arrays; classNames
+// indexes the vocabulary by classIndex.
 const numClasses = 2
 
 var classNames = [numClasses]string{ClassInteractive, ClassBatch}
@@ -62,8 +61,8 @@ func classIndex(class string) int {
 // Admission shed reasons, indexing shedReasonNames and the second
 // axis of schedMetrics.shed.
 const (
-	shedQueueFull = iota // shard queue at capacity
-	shedCost             // predicted wall-clock cost over the shard budget
+	shedQueueFull = iota // job queue at capacity
+	shedCost             // predicted wall-clock cost over the pool budget
 	shedBrownout         // rejected by the brownout load controller
 	numShedReasons
 )
@@ -85,8 +84,9 @@ type ErrShed struct {
 	// Reason is one of "queue_full", "cost", or "brownout".
 	Reason string
 	// RetryAfter is the scheduler's drain-time hint: for cost sheds,
-	// the shard's predicted pending wall-clock backlog. Zero means no
-	// hint (the HTTP layer derives one from the measured drain rate).
+	// the predicted pending wall-clock backlog divided by Workers. Zero
+	// means no hint (the HTTP layer derives one from the measured drain
+	// rate).
 	RetryAfter time.Duration
 }
 
@@ -102,21 +102,16 @@ func (e *ErrShed) Unwrap() error { return ErrOverloaded }
 // implemented by *loadctl.Controller. The scheduler's reading of the
 // levels:
 //
-//	>= levelShedBatch           reject batch-class submissions
-//	>= levelTightenInteractive  divide the cost budget by interactiveTighten
-//	>= levelShedAll             reject every submission
+//	>= loadctl.LevelShedBatch           reject batch-class submissions
+//	>= loadctl.LevelTightenInteractive  divide the cost budget by interactiveTighten
+//	>= loadctl.LevelShedAll             reject every submission
 type Leveler interface {
 	Level() int
 }
 
-const (
-	levelShedBatch          = 1
-	levelTightenInteractive = 2
-	levelShedAll            = 3
-	// interactiveTighten is the cost-budget divisor applied at
-	// levelTightenInteractive and above.
-	interactiveTighten = 4
-)
+// interactiveTighten is the cost-budget divisor applied at
+// loadctl.LevelTightenInteractive and above.
+const interactiveTighten = 4
 
 // ctxCheckEvery is the most simulation steps that run between context
 // cancellation checks. Specs with expensive steps check more often:
@@ -192,7 +187,7 @@ type Job struct {
 	// ClassBatch), resolved from the spec at submission.
 	class string
 	// costNs is the wall-clock cost the calibrated admission charged
-	// against the shard budget (0 when the cost model was cold, stale,
+	// against the pool budget (0 when the cost model was cold, stale,
 	// or disabled); released in retire.
 	costNs int64
 
@@ -208,7 +203,6 @@ type Job struct {
 	runSpan    span.ID
 
 	sched *Scheduler
-	shard int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -315,11 +309,10 @@ func (j *Job) CancelRequested() bool {
 	return true
 }
 
-// Cancel asks the job to stop. A still-queued job is removed from its
-// shard's backlog immediately — freeing the queue slot for admission
-// control rather than letting canceled work occupy it until a worker
-// drains it — and finishes as canceled; a running job stops at its
-// next context check.
+// Cancel asks the job to stop. A still-queued job is removed from the
+// queue immediately — freeing its slot for admission control rather
+// than letting canceled work occupy it until a worker reaches it — and
+// finishes as canceled; a running job stops at its next context check.
 func (j *Job) Cancel() {
 	j.cancel()
 	if j.sched != nil {
@@ -351,15 +344,13 @@ func (j *Job) finish(status JobStatus, reports []*Report, err error) {
 
 // SchedulerConfig sizes the worker pool.
 type SchedulerConfig struct {
-	// Workers is the number of shards; each shard owns one worker
-	// goroutine and one FIFO queue. Jobs are sharded by spec hash, so
-	// identical specs serialize on one shard in submission order.
+	// Workers is the number of worker goroutines. Every worker takes
+	// the oldest queued interactive job, else the oldest queued batch
+	// job, and runs it to completion before taking the next.
 	Workers int
-	// QueueDepth bounds each shard's backlog of not-yet-running jobs;
-	// a full queue rejects submissions with ErrOverloaded. (A worker
-	// additionally holds the backlog it drained, which it runs
-	// interactive-first, so up to QueueDepth more jobs can be
-	// pending-but-dequeued per shard.)
+	// QueueDepth is each worker's share of the queue: at most
+	// Workers × QueueDepth not-yet-running jobs wait, and a full queue
+	// rejects submissions with ErrOverloaded.
 	QueueDepth int
 	// RetainJobs bounds how many finished jobs stay queryable before
 	// the oldest are evicted (default 1024).
@@ -373,19 +364,20 @@ type SchedulerConfig struct {
 	// sweep jobs: every executing sweep job shares one gate of this
 	// many slots, so total sweep-task parallelism is SweepWorkers —
 	// not Workers × SweepWorkers — and total simulation parallelism
-	// stays within Workers + SweepWorkers (a shard worker driving a
-	// sweep job blocks on the gate rather than computing, and a
-	// single-spec job runs on its shard worker outside the gate).
+	// stays within Workers + SweepWorkers (a worker driving a sweep
+	// job blocks on the gate rather than computing, and a single-spec
+	// job runs on its worker outside the gate).
 	// 0 defaults to Workers.
 	SweepWorkers int
-	// MaxCost, when positive, is each shard's wall-clock admission
-	// budget: a submission whose predicted cost (step-cost profiler
-	// estimate × steps × replications, summed per variant for sweeps)
-	// would push the shard's pending predicted work past MaxCost is
-	// rejected with an ErrShed carrying the backlog as its Retry-After
-	// hint. Prediction needs a warm profiler — cold or stale estimates
-	// fall back to the static MaxWork bound Validate already enforced.
-	// Zero disables cost admission.
+	// MaxCost, when positive, is each worker's share of the wall-clock
+	// admission budget: a submission whose predicted cost (step-cost
+	// profiler estimate × steps × replications, summed per variant for
+	// sweeps) would push the pending predicted work past
+	// Workers × MaxCost is rejected with an ErrShed carrying the
+	// pending work divided by Workers as its Retry-After hint.
+	// Prediction needs a warm profiler — cold or stale estimates fall
+	// back to the static MaxWork bound Validate already enforced. Zero
+	// disables cost admission.
 	MaxCost time.Duration
 	// StaleCostAfter bounds how old the profiler's newest sample for
 	// an (engine, draw_order) pair may be before its estimate is
@@ -422,8 +414,7 @@ type SchedulerStats struct {
 	// combined.
 	Shed uint64 `json:"shed"`
 	// PendingCostSeconds is the predicted wall-clock cost of admitted
-	// but unfinished work, summed across shards (0 while the cost
-	// model is cold or disabled).
+	// but unfinished work (0 while the cost model is cold or disabled).
 	PendingCostSeconds float64 `json:"pending_cost_seconds"`
 	// Classes breaks queue depth, terminal outcomes, and sheds down by
 	// priority class.
@@ -439,39 +430,32 @@ type ClassStats struct {
 	Shed     uint64 `json:"shed"`
 }
 
-// shard is one worker's FIFO backlog. A slice guarded by a mutex —
-// not a channel — so cancellation can remove a queued job in place
-// (freeing its admission slot) and so the worker can drain the whole
-// backlog at once and run it interactive-first.
-type shard struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*Job
-	closed bool
-}
-
-// Scheduler is a bounded sharded worker pool executing simulation
-// jobs.
+// Scheduler is a bounded worker pool executing simulation jobs. Jobs
+// wait in one FIFO per priority class; every worker takes the oldest
+// interactive job, else the oldest batch job.
 type Scheduler struct {
-	cfg    SchedulerConfig
-	shards []*shard
+	cfg SchedulerConfig
 	// sweepGate bounds aggregate sweep-task parallelism across every
 	// concurrently executing sweep job (see SchedulerConfig.SweepWorkers).
 	sweepGate chan struct{}
 
+	// mu guards admission, the queues, the job table and closed; ready
+	// wakes a worker when a job is queued, and every worker on Close.
 	mu     sync.Mutex
+	ready  sync.Cond
 	closed bool
+	queues [numClasses][]*Job // not-yet-running jobs, oldest first, by classIndex
 	jobs   map[string]*Job
 	doneQ  []string // finished job ids, oldest first, for retention
 
 	wg     sync.WaitGroup
 	nextID atomic.Uint64
 
-	// pendingNs tracks each shard's admitted-but-unfinished predicted
-	// wall-clock cost in nanoseconds: reserved at enqueue (CAS against
-	// the MaxCost budget), released in retire so every terminal path
-	// settles the account exactly once.
-	pendingNs []atomic.Int64
+	// pendingNs is the predicted wall-clock cost of admitted but
+	// unfinished work in nanoseconds: charged at enqueue under mu
+	// against the Workers × MaxCost budget, released in retire so every
+	// terminal path settles the account exactly once.
+	pendingNs atomic.Int64
 	// costs converts a job's work units into predicted wall-clock cost
 	// via the step-cost profiler (nil-safe; see costmodel.go).
 	costs *costModel
@@ -526,38 +510,23 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:       cfg,
-		shards:    make([]*shard, cfg.Workers),
 		sweepGate: make(chan struct{}, cfg.SweepWorkers),
 		jobs:      make(map[string]*Job),
 		logger:    logger,
 	}
-	s.pendingNs = make([]atomic.Int64, cfg.Workers)
-	s.metrics = newSchedMetrics(reg, cfg.Workers, &s.sweepCtrs, s.pendingNs)
+	s.ready.L = &s.mu
+	s.metrics = newSchedMetrics(reg, &s.sweepCtrs, &s.pendingNs)
 	s.costs = newCostModel(s.metrics.stepCost, cfg.MaxCost, cfg.StaleCostAfter, logger)
-	for i := range s.shards {
-		sh := &shard{}
-		sh.cond = sync.NewCond(&sh.mu)
-		s.shards[i] = sh
-		s.wg.Add(1)
-		go s.worker(sh)
+	s.wg.Add(cfg.Workers)
+	for range cfg.Workers {
+		go s.worker()
 	}
 	return s, nil
 }
 
-// shardFor maps a spec hash (hex) onto a shard index.
-func (s *Scheduler) shardFor(hash string) int {
-	var b [8]byte
-	raw, err := hex.DecodeString(hash[:min(16, len(hash))])
-	if err != nil || len(raw) == 0 {
-		return 0
-	}
-	copy(b[8-len(raw):], raw)
-	return int(binary.BigEndian.Uint64(b[:]) % uint64(len(s.shards)))
-}
-
-// Submit validates spec, assigns it a job id, and enqueues it on its
-// hash shard. It returns ErrOverloaded without blocking when the shard
-// backlog is full, and ErrClosed after Close.
+// Submit validates spec, assigns it a job id, and enqueues it. It
+// returns ErrOverloaded without blocking when admission control sheds
+// the job, and ErrClosed after Close.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -636,7 +605,6 @@ func (s *Scheduler) newJob(hash string) *Job {
 		id:    fmt.Sprintf("j%08d-%s", s.nextID.Add(1), hash[:min(8, len(hash))]),
 		hash:  hash,
 		sched: s,
-		shard: s.shardFor(hash),
 		// Span IDs must start at None, not the zero ID (the root span):
 		// endSpans runs on every terminal path, including ones where
 		// start() never armed a run span.
@@ -651,87 +619,76 @@ func (s *Scheduler) newJob(hash string) *Job {
 	}
 }
 
-// enqueue registers the job and appends it to its shard's backlog,
-// enforcing admission control in three layers: the brownout level
-// (class-selective shedding), the calibrated wall-clock cost budget
-// (when the profiler is warm), and the static queue-depth bound.
+// enqueue admits the job and appends it to its class's queue. The
+// brownout level is read before taking s.mu (LoadControl is supplied by
+// the caller); the decision runs under s.mu, in three layers: the
+// brownout level (class-selective shedding), the calibrated wall-clock
+// cost budget (when the profiler is warm), and the queue capacity. A
+// shed job never enters the job table.
 func (s *Scheduler) enqueue(job *Job) (*Job, error) {
+	lvl := 0
+	if s.cfg.LoadControl != nil {
+		lvl = s.cfg.LoadControl.Level()
+	}
+	ci := classIndex(job.class)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		job.cancel()
 		return nil, ErrClosed
 	}
+	if reason, retryAfter := s.admit(job, lvl); reason >= 0 {
+		s.mu.Unlock()
+		job.cancel()
+		return nil, s.shed(job, reason, lvl, retryAfter)
+	}
 	s.jobs[job.id] = job
-	s.mu.Unlock()
-
-	// Brownout admission: level >= 1 sheds new batch work, level 3
-	// sheds everything uncached (level 2 acts through the tightened
-	// cost budget below).
-	lvl := 0
-	if s.cfg.LoadControl != nil {
-		lvl = s.cfg.LoadControl.Level()
-	}
-	if lvl >= levelShedAll || (lvl >= levelShedBatch && job.class == ClassBatch) {
-		s.forget(job.id)
-		job.cancel()
-		return nil, s.shed(job, shedBrownout, lvl, 0, "brownout active")
-	}
-	// Calibrated cost admission: reserve the job's predicted
-	// wall-clock cost against the shard's budget. predict returns 0 —
-	// falling back to the static MaxWork bound Validate enforced —
-	// while the profiler is cold, stale, or cost admission is off.
-	if predicted := s.costs.predict(job); predicted > 0 {
-		budget := s.cfg.MaxCost
-		if lvl >= levelTightenInteractive {
-			budget /= interactiveTighten
-		}
-		if !s.reserveCost(job.shard, int64(predicted), int64(budget)) {
-			backlog := time.Duration(s.pendingNs[job.shard].Load())
-			s.forget(job.id)
-			job.cancel()
-			return nil, s.shed(job, shedCost, lvl, backlog, "predicted cost over shard budget")
-		}
-		job.costNs = int64(predicted)
-	}
-
-	sh := s.shards[job.shard]
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		s.releaseCost(job)
-		s.forget(job.id)
-		job.cancel()
-		return nil, ErrClosed
-	}
-	if len(sh.queue) >= s.cfg.QueueDepth {
-		sh.mu.Unlock()
-		s.releaseCost(job)
-		s.forget(job.id)
-		job.cancel()
-		return nil, s.shed(job, shedQueueFull, lvl, 0, "shard queue full")
-	}
 	// Retain the request's trace and open the queue-wait span before
-	// the job becomes visible to the worker: once the append lands, a
-	// worker may drain and settle the job immediately, and its
-	// endSpans must find the reference already held.
+	// the job becomes visible to a worker, which may settle it as soon
+	// as s.mu is released: its endSpans must find the reference held.
 	job.strace.Retain()
 	job.queueSpan = job.strace.Start("queue.wait", job.parentSpan)
-	job.strace.SetAttr(job.queueSpan, "shard", int64(job.shard))
-	sh.queue = append(sh.queue, job)
-	sh.cond.Signal()
-	sh.mu.Unlock()
-	s.metrics.depth[job.shard].Inc()
-	s.metrics.classDepth[classIndex(job.class)].Inc()
+	s.queues[ci] = append(s.queues[ci], job)
+	s.metrics.depth[ci].Inc()
+	s.ready.Signal()
+	s.mu.Unlock()
 	return job, nil
+}
+
+// admit decides one submission under s.mu. It returns the shed reason
+// and Retry-After hint, or reason -1 after charging the admitted job's
+// predicted cost to pendingNs. predict returns 0 — falling back to the
+// static MaxWork bound Validate enforced — while the profiler is cold,
+// stale, or cost admission is off.
+func (s *Scheduler) admit(job *Job, lvl int) (reason int, retryAfter time.Duration) {
+	if lvl >= loadctl.LevelShedAll || (lvl >= loadctl.LevelShedBatch && job.class == ClassBatch) {
+		return shedBrownout, 0
+	}
+	workers := int64(s.cfg.Workers)
+	predicted := int64(s.costs.predict(job))
+	if predicted > 0 {
+		budget := workers * int64(s.cfg.MaxCost)
+		if lvl >= loadctl.LevelTightenInteractive {
+			budget /= interactiveTighten
+		}
+		if pending := s.pendingNs.Load(); pending+predicted > budget {
+			return shedCost, time.Duration(pending / workers)
+		}
+	}
+	if len(s.queues[0])+len(s.queues[1]) >= s.cfg.Workers*s.cfg.QueueDepth {
+		return shedQueueFull, 0
+	}
+	job.costNs = predicted
+	s.pendingNs.Add(predicted)
+	return -1, 0
 }
 
 // shed records one admission rejection — per-class/per-reason counter
 // plus the structured log line — and returns the typed error.
-func (s *Scheduler) shed(job *Job, reason, level int, retryAfter time.Duration, msg string) error {
+func (s *Scheduler) shed(job *Job, reason, level int, retryAfter time.Duration) error {
 	s.metrics.shed[classIndex(job.class)][reason].Inc()
-	s.logger.Warn("job shed: "+msg,
-		"shard", job.shard, "class", job.class, "reason", shedReasonNames[reason],
+	s.logger.Warn("job shed",
+		"class", job.class, "reason", shedReasonNames[reason],
 		"brownout_level", level, "spec_hash", job.hash, "request_id", job.requestID)
 	return &ErrShed{
 		Class:      job.class,
@@ -741,59 +698,23 @@ func (s *Scheduler) shed(job *Job, reason, level int, retryAfter time.Duration, 
 	}
 }
 
-// reserveCost atomically charges costNs to the shard's pending
-// account unless that would exceed budgetNs. The CAS loop makes
-// concurrent submissions unable to jointly overshoot the budget.
-func (s *Scheduler) reserveCost(shard int, costNs, budgetNs int64) bool {
-	p := &s.pendingNs[shard]
-	for {
-		cur := p.Load()
-		if cur+costNs > budgetNs {
-			return false
-		}
-		if p.CompareAndSwap(cur, cur+costNs) {
-			return true
-		}
-	}
-}
-
-// releaseCost returns a job's cost reservation to its shard.
-func (s *Scheduler) releaseCost(job *Job) {
-	if job.costNs > 0 {
-		s.pendingNs[job.shard].Add(-job.costNs)
-		job.costNs = 0
-	}
-}
-
-// forget removes a never-enqueued job from the registry.
-func (s *Scheduler) forget(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
-}
-
-// reapQueued removes a canceled job from its shard's backlog, if it is
-// still there, and finishes it immediately. Idempotent and safe
-// against the worker: queue removal and the worker's drain are both
-// under the shard lock, so exactly one side finishes the job.
+// reapQueued removes a canceled job from its queue, if it is still
+// there, and finishes it immediately. Idempotent and safe against the
+// workers: removal here and a worker's take are both under s.mu, so
+// exactly one side finishes the job.
 func (s *Scheduler) reapQueued(job *Job) {
-	sh := s.shards[job.shard]
-	sh.mu.Lock()
-	found := false
-	for i, q := range sh.queue {
-		if q == job {
-			sh.queue = append(sh.queue[:i], sh.queue[i+1:]...)
-			found = true
-			break
-		}
+	ci := classIndex(job.class)
+	s.mu.Lock()
+	i := slices.Index(s.queues[ci], job)
+	if i >= 0 {
+		s.queues[ci] = slices.Delete(s.queues[ci], i, i+1)
+		s.metrics.depth[ci].Dec()
 	}
-	sh.mu.Unlock()
-	if !found {
+	s.mu.Unlock()
+	if i < 0 {
 		return
 	}
-	s.metrics.depth[job.shard].Dec()
-	s.metrics.classDepth[classIndex(job.class)].Dec()
-	s.metrics.jobsCanceled[classIndex(job.class)].Inc()
+	s.metrics.jobsCanceled[ci].Inc()
 	job.strace.End(job.queueSpan)
 	job.endSpans()
 	job.finish(JobCanceled, nil, context.Cause(job.ctx))
@@ -822,7 +743,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Workers:      s.cfg.Workers,
 		QueueDepth:   s.cfg.QueueDepth,
 		SweepWorkers: s.cfg.SweepWorkers,
-		Queued:       m.queuedTotal(),
+		Queued:       int(m.depth[0].Value() + m.depth[1].Value()),
 		Running:      int(m.running.Value()),
 		Sweeps:       m.sweeps.Value(),
 		SoloJobs:     m.soloJobs.Value(),
@@ -830,7 +751,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 	}
 	for ci, class := range classNames {
 		cs := ClassStats{
-			Queued:   int(m.classDepth[ci].Value()),
+			Queued:   int(m.depth[ci].Value()),
 			Done:     m.jobsDone[ci].Value(),
 			Failed:   m.jobsFailed[ci].Value(),
 			Canceled: m.jobsCanceled[ci].Value(),
@@ -844,9 +765,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		st.Canceled += cs.Canceled
 		st.Shed += cs.Shed
 	}
-	for i := range s.pendingNs {
-		st.PendingCostSeconds += time.Duration(s.pendingNs[i].Load()).Seconds()
-	}
+	st.PendingCostSeconds = time.Duration(s.pendingNs.Load()).Seconds()
 	return st
 }
 
@@ -854,57 +773,50 @@ func (s *Scheduler) Stats() SchedulerStats {
 // runs to completion before Close returns.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
+	s.ready.Broadcast()
 	s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
-	}
 	s.wg.Wait()
 }
 
-// worker drains its shard. Each pass takes the whole backlog and runs
-// it one job at a time, interactive jobs first; the stable sort keeps
-// arrival order within a class.
-func (s *Scheduler) worker(sh *shard) {
+// worker runs queued jobs one at a time until Close has drained the
+// queues.
+func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for {
-		sh.mu.Lock()
-		for len(sh.queue) == 0 && !sh.closed {
-			sh.cond.Wait()
-		}
-		if len(sh.queue) == 0 {
-			sh.mu.Unlock()
-			return
-		}
-		backlog := make([]*Job, len(sh.queue))
-		copy(backlog, sh.queue)
-		sh.queue = sh.queue[:0]
-		sh.mu.Unlock()
-		sort.SliceStable(backlog, func(i, k int) bool {
-			return classIndex(backlog[i].class) < classIndex(backlog[k].class)
-		})
-		for _, job := range backlog {
-			s.run(job)
-		}
+	for job := s.next(); job != nil; job = s.next() {
+		s.run(job)
 	}
 }
 
-// dequeue transitions a job out of the pending state; it returns false
-// after finishing the job when it was canceled while queued. Queue
-// wait is observed only for jobs that go on to run — a canceled job's
-// time in queue is not a latency sample.
+// next blocks until a job is queued and takes the oldest interactive
+// job, else the oldest batch job. It returns nil once the scheduler is
+// closed and both queues are empty.
+func (s *Scheduler) next() *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for ci, q := range s.queues {
+			if len(q) > 0 {
+				job := q[0]
+				q[0] = nil
+				s.queues[ci] = q[1:]
+				s.metrics.depth[ci].Dec()
+				return job
+			}
+		}
+		if s.closed {
+			return nil
+		}
+		s.ready.Wait()
+	}
+}
+
+// dequeue transitions a taken job out of the pending state; it returns
+// false after finishing the job when it was canceled while queued.
+// Queue wait is observed only for jobs that go on to run — a canceled
+// job's time in queue is not a latency sample.
 func (s *Scheduler) dequeue(job *Job) bool {
 	ci := classIndex(job.class)
-	s.metrics.depth[job.shard].Dec()
-	s.metrics.classDepth[ci].Dec()
 	job.strace.End(job.queueSpan)
 	if job.ctx.Err() != nil {
 		s.metrics.jobsCanceled[ci].Inc()
@@ -913,9 +825,7 @@ func (s *Scheduler) dequeue(job *Job) bool {
 		s.retire(job)
 		return false
 	}
-	wait := time.Since(job.created).Seconds()
-	s.metrics.queueWait[job.shard].Observe(wait)
-	s.metrics.classQueueWait[ci].Observe(wait)
+	s.metrics.queueWait[ci].Observe(time.Since(job.created).Seconds())
 	return true
 }
 
@@ -930,7 +840,6 @@ func (s *Scheduler) start(job *Job) (context.Context, context.CancelFunc) {
 	job.mu.Unlock()
 	job.runSpan = job.strace.Start("run", job.parentSpan)
 	if job.runSpan != span.None {
-		job.strace.SetAttr(job.runSpan, "shard", int64(job.shard))
 		if job.sweep != nil {
 			job.strace.SetAttrStr(job.runSpan, "engine", "sweep")
 			job.strace.SetAttr(job.runSpan, "variants", int64(len(job.sweep.Variants)))
@@ -968,7 +877,7 @@ func (s *Scheduler) rewriteTimeout(ctx context.Context, err error) error {
 func (s *Scheduler) settle(job *Job, reports []*Report, err error) {
 	_, started, _ := job.Times()
 	dur := time.Since(started)
-	s.metrics.runDur[job.shard].Observe(dur.Seconds())
+	s.metrics.runDur.Observe(dur.Seconds())
 	job.endSpans()
 	ci := classIndex(job.class)
 	switch {
@@ -1084,7 +993,7 @@ func variantReport(hash string, spec *Spec, res experiment.SweepResult) *Report 
 // retire releases the job's cost reservation and enforces the
 // finished-job retention bound.
 func (s *Scheduler) retire(job *Job) {
-	s.releaseCost(job)
+	s.pendingNs.Add(-job.costNs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.doneQ = append(s.doneQ, job.id)

@@ -135,43 +135,62 @@ func TestSchedulerReplications(t *testing.T) {
 	}
 }
 
-// TestSchedulerAdmissionControl fills one shard's queue with identical
-// specs (same hash → same shard) and checks the explicit overload
-// error.
+// waitRunning polls until job is running, failing the test after 5s.
+func waitRunning(t *testing.T, job *Job) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); job.Status() != JobRunning; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running (status %s)", job.ID(), job.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// slowSpec is a job far longer than any test waits for; tests cancel
+// it.
+func slowSpec(seed uint64) Spec {
+	spec := validSpec()
+	spec.Steps = 40_000_000
+	spec.Seed = seed
+	return spec
+}
+
+// TestSchedulerAdmissionControl holds every worker with a slow
+// blocker, fills the queue's Workers × QueueDepth slots, and checks
+// the next submission gets the explicit overload error.
 func TestSchedulerAdmissionControl(t *testing.T) {
 	t.Parallel()
 
-	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 2})
-	// A slow job to hold the worker (canceled before it finishes).
-	slow := validSpec()
-	slow.Steps = 40_000_000
-	blocker, err := s.Submit(slow)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Parallel()
+
+			s := newTestScheduler(t, SchedulerConfig{Workers: workers, QueueDepth: 2})
+			for i := range workers {
+				blocker, err := s.Submit(slowSpec(uint64(10 + i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer blocker.Cancel()
+				waitRunning(t, blocker)
+			}
+			for i := range 2 * workers {
+				spec := validSpec()
+				spec.Seed = uint64(100 + i)
+				if _, err := s.Submit(spec); err != nil {
+					t.Fatalf("queued submit %d: %v", i, err)
+				}
+			}
+			spec := validSpec()
+			spec.Seed = 999
+			if _, err := s.Submit(spec); !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("Submit over capacity = %v, want ErrOverloaded", err)
+			}
+			if got := s.Stats().Queued; got != 2*workers {
+				t.Errorf("Queued = %d, want %d", got, 2*workers)
+			}
+		})
 	}
-	defer blocker.Cancel()
-	// Wait for it to leave the queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for blocker.Status() != JobRunning && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	// Fill the queue behind it.
-	for i := 0; i < 2; i++ {
-		spec := validSpec()
-		spec.Seed = uint64(100 + i)
-		if _, err := s.Submit(spec); err != nil {
-			t.Fatalf("queued submit %d: %v", i, err)
-		}
-	}
-	spec := validSpec()
-	spec.Seed = 999
-	if _, err := s.Submit(spec); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Submit over capacity = %v, want ErrOverloaded", err)
-	}
-	if got := s.Stats().Queued; got != 2 {
-		t.Errorf("Queued = %d, want 2", got)
-	}
-	blocker.Cancel()
 }
 
 // TestSchedulerCancellation cancels a long-running job and checks it
@@ -277,38 +296,6 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	}
 	if got := s.Stats().Completed; got != 10 {
 		t.Errorf("Completed = %d, want 10", got)
-	}
-}
-
-// TestSchedulerShardAffinity checks identical hashes map to one shard
-// and the mapping covers multiple shards across distinct hashes.
-func TestSchedulerShardAffinity(t *testing.T) {
-	t.Parallel()
-
-	s := newTestScheduler(t, SchedulerConfig{Workers: 4, QueueDepth: 1})
-	spec := validSpec()
-	h, err := spec.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := s.shardFor(h), s.shardFor(h); a != b {
-		t.Errorf("same hash mapped to shards %d and %d", a, b)
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		spec.Seed = uint64(i)
-		h, err := spec.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := s.shardFor(h)
-		if idx < 0 || idx >= 4 {
-			t.Fatalf("shard %d out of range", idx)
-		}
-		seen[idx] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("64 distinct hashes all landed on %d shard(s)", len(seen))
 	}
 }
 
@@ -420,7 +407,7 @@ func TestRunSpecTrace(t *testing.T) {
 
 // TestSchedulerJobTimeout checks that a running job is canceled by the
 // server-side JobTimeout and surfaces as JobFailed with ErrJobTimeout,
-// so no single admitted job can occupy a shard worker indefinitely.
+// so no single admitted job can occupy a worker indefinitely.
 func TestSchedulerJobTimeout(t *testing.T) {
 	t.Parallel()
 
@@ -456,7 +443,7 @@ func TestSchedulerJobTimeout(t *testing.T) {
 
 // TestSchedulerCancelFreesQueueSlot is the regression test for
 // canceled-but-queued jobs pinning admission: canceling a queued job
-// must free its shard slot immediately (and finish the job) so live
+// must free its queue slot immediately (and finish the job) so live
 // traffic is not bounced with ErrOverloaded until a worker happens to
 // drain the corpse.
 func TestSchedulerCancelFreesQueueSlot(t *testing.T) {
@@ -637,5 +624,84 @@ func TestQueuedSoloJobsPassRunSeam(t *testing.T) {
 			t.Errorf("job %d: status %s, err %v; want failed with the injected fault",
 				i, job.Status(), job.Err())
 		}
+	}
+}
+
+// TestCancelReapsJobBehindRunningJob pins that a queued job stays
+// reapable while the job ahead of it runs: canceling it settles it at
+// once instead of leaving it queued until the worker reaches it.
+func TestCancelReapsJobBehindRunningJob(t *testing.T) {
+	t.Parallel()
+
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4})
+	blocker, err := s.Submit(slowSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Cancel()
+	waitRunning(t, blocker)
+	b, err := s.Submit(slowSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Cancel()
+	c, err := s.Submit(validSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker.Cancel()
+	waitRunning(t, b)
+	c.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := c.Wait(ctx); err != nil || c.Status() != JobCanceled {
+		t.Fatalf("job queued behind a running job: status %s after cancel (wait: %v), want canceled within 1s",
+			c.Status(), err)
+	}
+	if got := b.Status(); got != JobRunning {
+		t.Errorf("running job status %s after canceling the job behind it, want running", got)
+	}
+}
+
+// TestInteractiveOvertakesQueuedBatch pins the dequeue order: an
+// interactive job submitted while a batch job runs starts before the
+// batch job queued ahead of it.
+func TestInteractiveOvertakesQueuedBatch(t *testing.T) {
+	t.Parallel()
+
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4})
+	blocker, err := s.Submit(slowSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Cancel()
+	waitRunning(t, blocker)
+	batch := slowSpec(2)
+	batch.Priority = ClassBatch
+	b1, err := s.Submit(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b1.Cancel()
+	batch = validSpec()
+	batch.Priority = ClassBatch
+	b2, err := s.Submit(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker.Cancel()
+	waitRunning(t, b1)
+	inter, err := s.Submit(validSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1.Cancel()
+	waitDone(t, "interactive job", inter)
+	waitDone(t, "queued batch job", b2)
+	_, interStart, _ := inter.Times()
+	_, batchStart, _ := b2.Times()
+	if !interStart.Before(batchStart) {
+		t.Errorf("interactive job started %s, not before the queued batch job (%s)",
+			interStart.Format(time.StampMicro), batchStart.Format(time.StampMicro))
 	}
 }

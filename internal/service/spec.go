@@ -1,6 +1,6 @@
 // Package service turns the simulation library into a long-running
 // serving subsystem: a JSON Spec that hashes deterministically to a
-// cache key, a bounded sharded scheduler with admission control, a
+// cache key, a bounded job scheduler with admission control, a
 // result cache with single-flight deduplication over a pluggable
 // storage backend (in-proc LRU, or internal/store's tiered
 // memory+disk store for persistence across restarts), and net/http

@@ -625,6 +625,3 @@ func (d *Disk) closeFiles() {
 		_ = seg.f.Close()
 	}
 }
-
-// Dir returns the directory backing the log.
-func (d *Disk) Dir() string { return d.dir }
