@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -833,4 +834,68 @@ func BenchmarkSpanOverhead(b *testing.B) {
 			record()
 		}
 	})
+}
+
+// TestTracedCacheHitAllocs pins what span tracing adds to the request
+// path the `hits` benchmark workload measures: one memory-tier
+// POST /v1/simulate cache hit served through service.NewServer, with
+// and without a span recorder. A traced hit records three spans (root,
+// validate, cache.get), and its trace must cost at most 2 KiB more
+// than the untraced hit; a trace that starts with room for dozens of
+// spans breaks the pin. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestTracedCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are perturbed under -race")
+	}
+	const hits, budget = 2000, 2048
+	body := []byte(`{"n": 1000, "qualities": [0.9, 0.5, 0.5], "beta": 0.7, "steps": 100, "seed": 1}`)
+	bytesPerHit := func(opts ...service.ServerOption) float64 {
+		t.Helper()
+		sched, err := service.NewScheduler(service.SchedulerConfig{Workers: 1, QueueDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sched.Close)
+		cache, err := service.NewCache(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := service.NewServer(sched, cache, opts...)
+		serve := func() {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("simulate status %d (%s)", w.Code, w.Body)
+			}
+		}
+		serve() // the miss that fills the cache
+		perHit := bytesPerRun(hits, serve)
+		if st := cache.Stats(); st.Hits < hits {
+			t.Fatalf("the loop missed the cache: %+v", st)
+		}
+		return perHit
+	}
+	plain := bytesPerHit()
+	traced := bytesPerHit(service.WithTraces(span.NewRecorder(256)))
+	t.Logf("bytes per cache hit: untraced %.0f, traced %.0f (+%.0f)", plain, traced, traced-plain)
+	if traced-plain > budget {
+		t.Fatalf("a traced cache hit allocates %.0f B more than an untraced one; budget %d B", traced-plain, budget)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes f
+// allocates per call over runs calls, after one warm-up call, with
+// GOMAXPROCS 1 so that other goroutines' allocations stay out of the
+// count as far as possible.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

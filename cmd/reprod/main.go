@@ -134,6 +134,9 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	// Span tracing: the recorder retains the last -trace-ring completed
 	// request traces for /debug/traces and logs any trace slower than
 	// -trace-slow through the daemon logger.
+	if *traceRing <= 0 {
+		return fmt.Errorf("bad -trace-ring %d: must be positive", *traceRing)
+	}
 	var slowOpts []span.Option
 	if *traceSlow > 0 {
 		slowOpts = append(slowOpts, span.WithSlowLog(logger, *traceSlow))

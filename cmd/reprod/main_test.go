@@ -224,36 +224,56 @@ func TestDaemonFlagValidation(t *testing.T) {
 		t.Error("bad addr accepted")
 	}
 
+	// refused runs the daemon with flag set to val and requires it to
+	// fail before serving, with an error containing every want. The
+	// ready channel keeps a daemon that wrongly starts from hanging
+	// the test.
+	refused := func(flag, val string, want ...string) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ready := make(chan net.Addr, 2)
+		errCh := make(chan error, 1)
+		go func() {
+			errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", flag, val}, io.Discard, ready)
+		}()
+		select {
+		case err := <-errCh:
+			if err == nil {
+				t.Errorf("%s %q: run returned nil, want an error", flag, val)
+				return
+			}
+			for _, w := range want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s %q: run = %v, want an error containing %q", flag, val, err, w)
+				}
+			}
+		case <-ready:
+			t.Errorf("%s %q accepted: the daemon started serving", flag, val)
+			cancel()
+			<-errCh
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s %q: run neither failed nor served within 10s", flag, val)
+		}
+	}
+
 	// Rules the metrics ring can never read data for would read as
 	// healthy forever; the daemon must refuse them instead of serving.
+	// The error names the flag, the rule and the defect.
 	for _, tc := range []struct{ flag, rule, want string }{
 		{"-slo-rule", "gone: p99(reprod_sched_class_queue_wait_seconds) < 250ms over 1m", "no metric family"},
 		{"-slo-rule", "label: p99(reprod_sched_queue_wait_seconds{shard=0}) < 250ms over 1m", `no label "shard"`},
 		{"-slo-rule", "gauge: p99(reprod_sched_queue_depth) < 10 over 1m", "not a histogram"},
 		{"-brownout-rule", "brownout: p99(reprod_sched_gone_seconds) < 250ms over 30s", "no metric family"},
 	} {
-		ctx, cancel := context.WithCancel(context.Background())
-		ready := make(chan net.Addr, 2)
-		errCh := make(chan error, 1)
-		go func() {
-			errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", tc.flag, tc.rule}, io.Discard, ready)
-		}()
 		name, _, _ := strings.Cut(tc.rule, ":")
-		select {
-		case err := <-errCh:
-			if err == nil || !strings.Contains(err.Error(), tc.flag) || !strings.Contains(err.Error(), strconv.Quote(name)) ||
-				!strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s %q: run = %v, want an error naming the flag, the rule and %q", tc.flag, tc.rule, err, tc.want)
-			}
-		case <-ready:
-			t.Errorf("%s %q accepted: the daemon started serving", tc.flag, tc.rule)
-			cancel()
-			<-errCh
-		case <-time.After(10 * time.Second):
-			t.Errorf("%s %q: run neither failed nor served within 10s", tc.flag, tc.rule)
-		}
-		cancel()
+		refused(tc.flag, tc.rule, tc.flag, strconv.Quote(name), tc.want)
 	}
+
+	// A trace ring needs a slot; a size below one is refused, naming
+	// the flag, rather than quietly rounded up.
+	refused("-trace-ring", "0", "-trace-ring")
+	refused("-trace-ring", "-1", "-trace-ring")
 }
 
 // TestDaemonRestartDurability is the acceptance scenario for the

@@ -334,15 +334,22 @@
 // Beyond metrics, every work-submitting request (POST /v1/simulate,
 // /v1/sweep, /v1/jobs) is traced end to end by internal/obs/span — a
 // dependency-free span recorder (Start+attr+End is allocation-free on
-// a live trace, pinned by BenchmarkSpanOverhead; untraced paths pay a
-// nil-check only). The root span is keyed by the request ID; the
-// layers below add validate, admission, cache.get/cache.put,
-// queue.wait, and run spans, and every job's run nests one
-// replication span per v1 replication or replication.block span per
-// v2 block (single-spec and sweep jobs alike execute through
-// experiment.RunSweep). The last -trace-ring completed
-// traces back GET /debug/traces, any trace slower than -trace-slow is
-// logged through slog, and a job's tree is served once it settles:
+// a live trace with room for the span, pinned by BenchmarkSpanOverhead;
+// untraced paths pay a nil-check only). The root span is keyed by the
+// request ID; the layers below add validate, admission,
+// cache.get/cache.put, queue.wait, and run spans, and every job's run
+// nests one replication span per v1 replication or replication.block
+// span per v2 block (single-spec and sweep jobs alike execute through
+// experiment.RunSweep). A trace allocates in proportion to the spans
+// it records: it starts with room for four 208 B spans, so a cache
+// hit's three spans (root, validate, cache.get) cost about 1 KB with
+// the Trace itself, and a miss or a sweep grows the array by append (a
+// single-replication simulate records 8 spans, an 8-replication v1
+// simulate 15). A traced cache hit allocates at most 2 KiB more than
+// an untraced one, pinned by TestTracedCacheHitAllocs. The last
+// -trace-ring completed traces back GET /debug/traces, any trace
+// slower than -trace-slow is logged through slog, and a job's tree is
+// served once it settles:
 //
 //	reprod -addr :8080 -trace-ring 256 -trace-slow 500ms -debug-addr 127.0.0.1:6060
 //	id=$(curl -s localhost:8080/v1/jobs -d \

@@ -8,10 +8,12 @@ import (
 )
 
 // defaultSpanCap is the initial span capacity for traces whose creator
-// passed no hint. Simulate requests record ~a dozen spans; sweeps grow
-// past this once and then reuse the grown array for the rest of the
-// request.
-const defaultSpanCap = 64
+// passed no hint: a cache hit's three spans (root, validate, cache.get)
+// plus a miss's admission. A hit therefore fits without growing; a
+// single-replication miss records 8 spans and an 8-replication v1 miss
+// 15, so Trace.Start grows their arrays by append, and a sweep pays
+// only the doublings its span count needs.
+const defaultSpanCap = 4
 
 // Recorder retains the last N sealed traces in a lock-free ring and
 // optionally slow-logs traces past a duration threshold. All methods
@@ -55,9 +57,12 @@ func NewRecorder(ring int, opts ...Option) *Recorder {
 }
 
 // Start opens a new trace whose root span is named rootName. capHint
-// sizes the span backing array (clamped to [defaultSpanCap, maxSpans];
-// pass 0 for the default) so steady-state recording does not allocate.
-// The caller holds the trace's initial reference and must Release it.
+// is the span count the caller expects, root included: the backing
+// array starts with that much room, raised to defaultSpanCap (pass 0
+// for the default) and cut to maxSpans, and Trace.Start grows it by
+// append past that. A caller that knows its span count passes it so
+// recording never grows the array. The caller holds the trace's
+// initial reference and must Release it.
 //
 // Start works on a nil recorder: the trace records normally but is
 // discarded at seal instead of entering a ring.

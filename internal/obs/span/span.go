@@ -5,11 +5,15 @@
 //
 // The design mirrors internal/obs's two-speed split. Recording —
 // Trace.Start, Trace.End, Trace.SetAttr — is the warm path: a short
-// critical section on the trace's own mutex, no allocation once the
-// span backing array has grown to the request's working size (the
-// creator passes a capacity hint), and every method is safe on a nil
-// *Trace so untraced work (direct scheduler submissions, benchmarks,
-// cache hits driven without HTTP) pays exactly one nil check.
+// critical section on the trace's own mutex, and every method is safe
+// on a nil *Trace so untraced work (direct scheduler submissions,
+// benchmarks, cache hits driven without HTTP) pays exactly one nil
+// check. A trace starts with room for four spans, enough for a cache
+// hit's three, and Trace.Start grows the array by append past that, so
+// a trace allocates in proportion to the spans it records: about 1 KB
+// for a hit, a few KB for a simulate miss. End and SetAttr never
+// allocate, and Start allocates only when it grows the array, which a
+// creator that passes its span count as the capacity hint avoids.
 // Exporting — Export's JSON tree, the recorder ring's snapshots — is
 // the cold path and runs only against sealed traces, which are
 // immutable, so readers never contend with writers.
@@ -216,9 +220,11 @@ func (t *Trace) seal() {
 			t.spans[i].End = end
 		}
 	}
-	// Right-size before the ring retains the trace: a default-capacity
-	// trace that recorded a handful of spans must not pin the whole
-	// backing array for its ring lifetime.
+	// Right-size before the ring retains the trace when more than 16
+	// slots sit unused (a large sweep's last doubling, or a capacity
+	// hint that overshot), so the ring does not pin them for the
+	// trace's lifetime there. Smaller slack costs less to keep than to
+	// copy.
 	if cap(t.spans) > len(t.spans)+16 {
 		t.spans = append(make([]Span, 0, len(t.spans)), t.spans...)
 	}

@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"strings"
 	"sync"
@@ -117,19 +118,23 @@ func TestSealedTraceRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestSpanCapCountsDropped fills a trace past maxSpans, once pre-sized
+// to the cap and once grown by append from the default capacity.
 func TestSpanCapCountsDropped(t *testing.T) {
-	tr := NewRecorder(1).Start("r", "root", maxSpans)
-	for i := 0; i < maxSpans+10; i++ {
-		tr.End(tr.Start("s", Root))
-	}
-	tr.Release()
-	out := tr.Export()
-	if out.Spans != maxSpans {
-		t.Fatalf("spans = %d, want %d", out.Spans, maxSpans)
-	}
-	// The root occupies one slot, so 11 of the loop's spans overflowed.
-	if out.DroppedSpans != 11 {
-		t.Fatalf("dropped = %d, want 11", out.DroppedSpans)
+	for _, capHint := range []int{maxSpans, 0} {
+		tr := NewRecorder(1).Start("r", "root", capHint)
+		for i := 0; i < maxSpans+10; i++ {
+			tr.End(tr.Start("s", Root))
+		}
+		tr.Release()
+		out := tr.Export()
+		if out.Spans != maxSpans {
+			t.Fatalf("capHint %d: spans = %d, want %d", capHint, out.Spans, maxSpans)
+		}
+		// The root occupies one slot, so 11 of the loop's spans overflowed.
+		if out.DroppedSpans != 11 {
+			t.Fatalf("capHint %d: dropped = %d, want 11", capHint, out.DroppedSpans)
+		}
 	}
 }
 
@@ -224,10 +229,21 @@ func TestContextRoundTrip(t *testing.T) {
 // retain/release on shared traces) against readers (ring snapshots and
 // exports). Run under -race, it is the recorder's memory-model proof:
 // sealed traces must be safely publishable to readers that never take
-// the trace mutex.
+// the trace mutex. It runs once with each trace pre-sized to its span
+// count and once from the default capacity, so the span array also
+// grows while four writers record into it, as a sweep trace does.
 func TestConcurrentHammer(t *testing.T) {
+	const spansPerTrace = 40
+	for _, capHint := range []int{spansPerTrace + 1, 0} {
+		t.Run(fmt.Sprintf("cap=%d", capHint), func(t *testing.T) {
+			hammer(t, capHint, spansPerTrace)
+		})
+	}
+}
+
+func hammer(t *testing.T, capHint, spansPerTrace int) {
 	rec := NewRecorder(8)
-	const writers, tracesPerWriter, spansPerTrace = 8, 50, 40
+	const writers, tracesPerWriter = 8, 50
 
 	stop := make(chan struct{})
 	var readersWG sync.WaitGroup
@@ -257,7 +273,7 @@ func TestConcurrentHammer(t *testing.T) {
 		go func() {
 			defer writersWG.Done()
 			for i := 0; i < tracesPerWriter; i++ {
-				tr := rec.Start("req", "root", spansPerTrace+1)
+				tr := rec.Start("req", "root", capHint)
 				var inner sync.WaitGroup
 				for g := 0; g < 4; g++ {
 					tr.Retain()
