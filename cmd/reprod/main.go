@@ -207,11 +207,14 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 			disk.Close()
 			return err
 		}
-		// Tier movements (read-through promotions, background spills)
-		// surface in the trace ring as single-span traces; spills have
-		// no request to attach to, so Event is the right shape.
+		// Background spills surface in the trace ring as single-span
+		// traces: they have no request to attach to. A read-through
+		// promotion runs inside its request's cache.get span, so it
+		// gets no trace of its own.
 		tiered.SetOpHook(func(op string, start time.Time, elapsed time.Duration) {
-			traces.Event("store."+op, start, elapsed)
+			if op == "spill" {
+				traces.Event("store.spill", start, elapsed)
+			}
 		})
 		if resultCache, err = service.NewCacheWithStore(tiered); err != nil {
 			tiered.Close()

@@ -360,6 +360,36 @@ func TestDaemonRestartDurability(t *testing.T) {
 		t.Errorf("no bytes on disk reported: %s", raw)
 	}
 
+	// The promotion ran inside the warm hit's cache.get span, so the
+	// trace ring holds that span and no trace of the promotion's own.
+	resp, err = http.Get(base2 + "/debug/traces?min_ms=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ring struct {
+		Traces []struct {
+			Root struct {
+				Name string `json:"name"`
+			} `json:"root"`
+		} `json:"traces"`
+	}
+	if err := json.Unmarshal(raw, &ring); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"cache.get"`) {
+		t.Errorf("debug/traces lacks the warm hit's cache.get span:\n%s", raw)
+	}
+	for _, tr := range ring.Traces {
+		if tr.Root.Name == "store.promote" {
+			t.Errorf("debug/traces holds a store.promote trace of its own:\n%s", raw)
+		}
+	}
+
 	// And the promoted entry now hits the memory tier.
 	if cached, _ := simulate(base2); !cached {
 		t.Error("promoted entry missed")

@@ -80,7 +80,7 @@
 // that keep the generator state in registers, branchless where the
 // outcome is decided by a random draw. internal/experiment.RunSweep
 // recycles whole engines across (variant, replication) tasks via
-// core.Group.Reset instead of reallocating per run.
+// core.BlockGroup.Reset instead of reallocating per run.
 //
 // # The draw-order contract (versioned)
 //
@@ -93,11 +93,13 @@
 // under different versions never collide in the cache or the store.
 //
 // v1 (default, frozen): replication r of a spec with seed s runs on a
-// generator seeded rng.SeedFor(s, r), and each engine consumes the
-// per-trajectory draw sequence documented in internal/rng and
-// internal/population. Every v1 optimization to date consumes exactly
-// the draw sequence of the code it replaced; the v1 path is untouched
-// by v2 and persisted v1 results replay forever.
+// generator seeded rng.SeedFor(s, r) = s + r·γ (experiment.SeedFor
+// delegates to it), and each engine consumes the per-trajectory draw
+// sequence documented in internal/rng and internal/population.
+// experiment.RunSweep steps each v1 replication as a one-lane
+// core.BlockGroup holding one v1 engine. Every v1 optimization to date
+// consumes exactly the draw sequence of the code it replaced; the v1
+// path is untouched by v2 and persisted v1 results replay forever.
 //
 // v2 (opt-in, replication-vectorized): replication lane k runs on a
 // generator seeded rng.StripeSeed(s, k) — an independent stream per
@@ -111,10 +113,11 @@
 // O(m) draws per step instead of O(N), equal in law to the per-agent
 // walk by exchangeability (homogeneous rules only; heterogeneous specs
 // stay on v1). Under v2 the agent and aggregate engines therefore
-// produce identical draw sequences. experiment.RunSweep executes v2
-// replications in blocks of experiment.BlockLanes lanes through the
-// StepBlock structure-of-arrays kernels (one lane per block for a
-// topology, whose blocks keep one dynamics state per lane).
+// produce identical draw sequences (one population.BlockEngine serves
+// both). experiment.RunSweep executes v2 replications in blocks of
+// experiment.BlockLanes lanes through the StepBlock structure-of-arrays
+// kernels (one lane per block for a topology, whose blocks keep one v1
+// dynamics state per lane).
 //
 // Choosing a version: v2 is the replication-heavy sweep contract —
 // small-to-moderate m with many replications is where the counts-based

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 func blockBaseConfig() Config {
@@ -192,6 +193,97 @@ func TestBlockGroupResetReplays(t *testing.T) {
 			gotPops, gotCums := runBlock(t, b, steps)
 			assertLanesEqual(t, tc.name+" reset", wantPops, gotPops, wantCums, gotCums, 0)
 		})
+	}
+}
+
+// TestBlockV1ReplaysGroups pins the v1 block every v1 sweep task
+// steps: lane k of Template.NewBlockV1 at lane0 replays Template.Group
+// at rng.SeedFor(seed, lane0+k) bit for bit — group reward at every
+// step, popularity, and the cumulative reward against a running sum of
+// the group's rewards — for every engine, and again after Reset to
+// another seed and lane0.
+func TestBlockV1ReplaysGroups(t *testing.T) {
+	t.Parallel()
+	ring, err := graph.Ring(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"aggregate", func() Config { c := blockBaseConfig(); c.N = 30_000; return c }()},
+		{"agent", func() Config { c := blockBaseConfig(); c.Engine = EngineAgent; return c }()},
+		{"infinite", func() Config { c := blockBaseConfig(); c.N = 0; return c }()},
+		{"network", func() Config { c := blockBaseConfig(); c.Network = ring; return c }()},
+	}
+	const steps, lane0, lanes = 40, 2, 3
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tmpl, err := NewTemplate(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := tmpl.NewBlockV1(tc.cfg.N, tc.cfg.Engine, tc.cfg.Seed, lane0, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertLanesReplayGroups(t, tmpl, tc.cfg, b, tc.cfg.Seed, lane0, steps)
+			const seed2, lane02 = 77, 5
+			if err := b.Reset(seed2, lane02); err != nil {
+				t.Fatal(err)
+			}
+			if b.T() != 0 {
+				t.Fatal("Reset did not zero the step counter")
+			}
+			assertLanesReplayGroups(t, tmpl, tc.cfg, b, seed2, lane02, steps)
+		})
+	}
+}
+
+// assertLanesReplayGroups steps b and one fresh v1 group per lane,
+// seeded rng.SeedFor(seed, lane0+k), and fails on the first bit that
+// differs.
+func assertLanesReplayGroups(t *testing.T, tmpl *Template, cfg Config, b *BlockGroup, seed uint64, lane0, steps int) {
+	t.Helper()
+	groups := make([]*Group, b.Lanes())
+	for k := range groups {
+		g, err := tmpl.Group(cfg.N, cfg.Engine, rng.SeedFor(seed, lane0+k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[k] = g
+	}
+	sums := make([]float64, len(groups))
+	for s := 1; s <= steps; s++ {
+		if err := b.StepBlock(); err != nil {
+			t.Fatal(err)
+		}
+		for k, g := range groups {
+			if err := g.Step(); err != nil {
+				t.Fatal(err)
+			}
+			sums[k] += g.GroupReward()
+			if got, want := b.GroupReward(k), g.GroupReward(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("lane %d step %d: group reward %v, want %v", k, s, got, want)
+			}
+			got, want := b.AppendPopularity(k, nil), g.Popularity()
+			if len(got) != len(want) {
+				t.Fatalf("lane %d step %d: %d options, want %d", k, s, len(got), len(want))
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("lane %d step %d: popularity[%d] %v, want %v", k, s, j, got[j], want[j])
+				}
+			}
+		}
+	}
+	for k := range groups {
+		if got := b.CumulativeGroupReward(k); math.Float64bits(got) != math.Float64bits(sums[k]) {
+			t.Fatalf("lane %d: cumulative reward %v, want the running sum %v", k, got, sums[k])
+		}
 	}
 }
 

@@ -90,13 +90,25 @@ type Config struct {
 // Group is a running social-learning system (finite, infinite, or
 // network-restricted).
 type Group struct {
-	finite   population.Engine
-	infinite *infinite.Process
-	network  *netpop.Dynamics
-	environ  env.Environment
-	eta1     float64
-	rule     agent.Linear
-	mu       float64
+	e       engine
+	environ env.Environment
+	eta1    float64
+	rule    agent.Linear
+	mu      float64
+}
+
+// engine is one v1-order trajectory: population.AgentEngine,
+// population.AggregateEngine, infinite.Process or netpop.Dynamics.
+// Every engine zeroes its cumulative reward on construction and Reset
+// and adds each step's group reward to it, so CumulativeGroupReward
+// equals a caller's running sum of GroupReward bit for bit.
+type engine interface {
+	Step() error
+	T() int
+	GroupReward() float64
+	CumulativeGroupReward() float64
+	AppendPopularity(dst []float64) []float64
+	Reset(seed uint64)
 }
 
 // Report summarizes a completed run window.
@@ -248,62 +260,56 @@ func (c Config) template() (*Template, error) {
 
 // Group builds one group for a variant of the template's family: a
 // network family runs the neighbor-sampling dynamics on the shared
-// graph (n and engine are ignored), n = 0 selects the
-// infinite-population process, otherwise engine selects the finite
+// graph (n and kind are ignored), n = 0 selects the
+// infinite-population process, otherwise kind selects the finite
 // implementation. The result is identical to New with the
 // corresponding Config.
-func (t *Template) Group(n int, engine EngineKind, seed uint64) (*Group, error) {
-	g := &Group{environ: t.environ, eta1: t.eta1, rule: t.rule, mu: t.mu}
-	if t.network != nil {
-		d, err := t.netpop(seed)
-		if err != nil {
-			return nil, err
-		}
-		g.network = d
-		return g, nil
-	}
-	if n == 0 {
-		p, err := infinite.New(infinite.Config{
-			Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		g.infinite = p
-		return g, nil
-	}
-	popCfg := population.Config{
-		N: n, Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
-	}
-	var err error
-	switch engine {
-	case EngineAggregate:
-		g.finite, err = population.NewAggregateEngine(popCfg)
-	case EngineAgent:
-		g.finite, err = population.NewAgentEngine(popCfg)
-	default:
-		return nil, fmt.Errorf("%w: unknown engine %d", ErrBadConfig, engine)
-	}
+func (t *Template) Group(n int, kind EngineKind, seed uint64) (*Group, error) {
+	e, err := t.engine(n, kind, seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	return g, nil
+	return &Group{e: e, environ: t.environ, eta1: t.eta1, rule: t.rule, mu: t.mu}, nil
 }
 
-// netpop builds one run's dynamics on the template's shared graph.
-func (t *Template) netpop(seed uint64) (*netpop.Dynamics, error) {
-	d, err := netpop.New(netpop.Config{
-		Graph: t.network, Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
-	})
+// engine builds the v1-order engine Group(n, kind, seed) holds; a v1
+// block holds one per lane.
+func (t *Template) engine(n int, kind EngineKind, seed uint64) (engine, error) {
+	var e engine
+	var err error
+	switch {
+	case t.network != nil:
+		e, err = netpop.New(netpop.Config{
+			Graph: t.network, Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
+		})
+	case n == 0:
+		e, err = infinite.New(infinite.Config{
+			Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed,
+		})
+	case kind == EngineAggregate:
+		e, err = population.NewAggregateEngine(t.popConfig(n, seed))
+	case kind == EngineAgent:
+		e, err = population.NewAgentEngine(t.popConfig(n, seed))
+	default:
+		return nil, fmt.Errorf("%w: unknown engine %d", ErrBadConfig, kind)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return d, nil
+	return e, nil
+}
+
+// popConfig is the finite engines' config for population size n.
+func (t *Template) popConfig(n int, seed uint64) population.Config {
+	return population.Config{N: n, Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed}
 }
 
 // IsInfinite reports whether the group is the infinite-population
 // process.
-func (g *Group) IsInfinite() bool { return g.infinite != nil }
+func (g *Group) IsInfinite() bool {
+	_, ok := g.e.(*infinite.Process)
+	return ok
+}
 
 // Mu returns the effective exploration rate.
 func (g *Group) Mu() float64 { return g.mu }
@@ -312,16 +318,7 @@ func (g *Group) Mu() float64 { return g.mu }
 func (g *Group) Rule() agent.Linear { return g.rule }
 
 // T returns the number of completed steps.
-func (g *Group) T() int {
-	switch {
-	case g.infinite != nil:
-		return g.infinite.T()
-	case g.network != nil:
-		return g.network.T()
-	default:
-		return g.finite.T()
-	}
-}
+func (g *Group) T() int { return g.e.T() }
 
 // Options returns the number of options m.
 func (g *Group) Options() int { return g.environ.Options() }
@@ -330,74 +327,32 @@ func (g *Group) Options() int { return g.environ.Options() }
 // groups, P^t for the infinite process, held-option fractions for
 // network groups).
 func (g *Group) Popularity() []float64 {
-	switch {
-	case g.infinite != nil:
-		return g.infinite.Distribution()
-	case g.network != nil:
-		return g.network.Fractions()
-	default:
-		return g.finite.Popularity()
-	}
+	return g.e.AppendPopularity(make([]float64, 0, g.Options()))
 }
 
 // AppendPopularity appends the current popularity vector to dst and
 // returns it, allocating only when dst lacks capacity — the no-copy
 // accessor for per-step callers (trace recording, experiment tables).
-func (g *Group) AppendPopularity(dst []float64) []float64 {
-	switch {
-	case g.infinite != nil:
-		return g.infinite.AppendDistribution(dst)
-	case g.network != nil:
-		return g.network.AppendFractions(dst)
-	default:
-		return g.finite.AppendPopularity(dst)
-	}
-}
+func (g *Group) AppendPopularity(dst []float64) []float64 { return g.e.AppendPopularity(dst) }
 
 // Reset reinitializes the group in place to the state New would produce
 // with the same config and the given seed, reusing every engine buffer:
 // a reset group replays a fresh group's run bit for bit. It requires
 // the default IID Bernoulli environment — custom environments may carry
-// per-run state the group cannot rewind — and is how sweep workers
-// recycle engine scratch across (variant, replication) tasks.
+// per-run state the group cannot rewind.
 func (g *Group) Reset(seed uint64) error {
 	if _, ok := g.environ.(*env.IIDBernoulli); !ok {
 		return fmt.Errorf("%w: Reset requires the stateless IID Bernoulli environment", ErrBadConfig)
 	}
-	switch {
-	case g.infinite != nil:
-		g.infinite.Reset(seed)
-	case g.network != nil:
-		g.network.Reset(seed)
-	default:
-		g.finite.Reset(seed)
-	}
+	g.e.Reset(seed)
 	return nil
 }
 
 // Step advances one time step.
-func (g *Group) Step() error {
-	switch {
-	case g.infinite != nil:
-		return g.infinite.Step()
-	case g.network != nil:
-		return g.network.Step()
-	default:
-		return g.finite.Step()
-	}
-}
+func (g *Group) Step() error { return g.e.Step() }
 
 // GroupReward returns the latest step's Σ_j Q^{t−1}_j R^t_j.
-func (g *Group) GroupReward() float64 {
-	switch {
-	case g.infinite != nil:
-		return g.infinite.GroupReward()
-	case g.network != nil:
-		return g.network.GroupReward()
-	default:
-		return g.finite.GroupReward()
-	}
-}
+func (g *Group) GroupReward() float64 { return g.e.GroupReward() }
 
 // BestQuality returns the largest η_j the group is measured against.
 func (g *Group) BestQuality() float64 { return g.eta1 }
@@ -407,19 +362,13 @@ func (g *Group) Run(steps int) (Report, error) {
 	if steps <= 0 {
 		return Report{}, fmt.Errorf("%w: steps=%d", ErrBadConfig, steps)
 	}
-	var avg float64
-	var err error
-	switch {
-	case g.infinite != nil:
-		avg, err = infinite.Run(g.infinite, steps)
-	case g.network != nil:
-		avg, err = netpop.Run(g.network, steps)
-	default:
-		avg, err = population.Run(g.finite, steps)
+	before := g.e.CumulativeGroupReward()
+	for i := 0; i < steps; i++ {
+		if err := g.e.Step(); err != nil {
+			return Report{}, err
+		}
 	}
-	if err != nil {
-		return Report{}, err
-	}
+	avg := (g.e.CumulativeGroupReward() - before) / float64(steps)
 	return Report{
 		Steps:              steps,
 		AverageGroupReward: avg,

@@ -1,10 +1,10 @@
 package core
 
-// Tests for Group.Reset — the in-place reinitialization the sweep
-// workers use to recycle engine buffers across (variant, replication)
-// tasks. The contract: a reset group replays a freshly constructed
-// group bit for bit, for every engine kind, and groups on stateful
-// environments refuse to reset.
+// Tests for Group.Reset — the in-place reinitialization that recycles
+// engine buffers across runs (sweep workers reset the same engines
+// through BlockGroup.Reset). The contract: a reset group replays a
+// freshly constructed group bit for bit, for every engine kind, and
+// groups on stateful environments refuse to reset.
 
 import (
 	"testing"

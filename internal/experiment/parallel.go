@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -49,7 +50,6 @@ func ParallelSummary(reps int, fn func(rep int) (float64, error)) (stats.Summary
 	return out, nil
 }
 
-// SeedFor derives a well-separated replication seed from a base seed.
-func SeedFor(base uint64, rep int) uint64 {
-	return base + uint64(rep)*0x9e3779b97f4a7c15
-}
+// SeedFor derives replication rep's seed from a base seed by the v1
+// schedule, rng.SeedFor; every experiment seeds its replications here.
+func SeedFor(base uint64, rep int) uint64 { return rng.SeedFor(base, rep) }

@@ -20,17 +20,18 @@ const defaultSweepCheckEvery = 2048
 
 // BlockLanes is the replication-block width used for draw_order v2
 // variants: each task advances up to this many replications ("lanes")
-// together through one structure-of-arrays block group. The value is a
-// scheduling/memory choice, not part of the v2 contract — every lane
-// draws only from its own rng stream, so any partition of a variant's
-// replications into blocks replays bit-identically (pinned by the
-// chunk-invariance tests in internal/core). 32 lanes keeps a block's
+// together through one structure-of-arrays block group, where a v1
+// task advances one. The value is a scheduling/memory choice, not
+// part of the v2 contract — every lane draws only from its own rng
+// stream, so any partition of a variant's replications into blocks
+// replays bit-identically (pinned by the chunk-invariance tests in
+// internal/core). 32 lanes keeps a block's
 // SoA state (O(lanes·m) plus one shared engine) small enough to stay
 // cache-resident for the paper's option counts while amortizing
 // per-step scheduling and engine-reuse overhead across many lanes.
-// Network families run width-1 blocks instead: their blocks fall back
-// to one dynamics state per lane, so a wide block would multiply a
-// run's memory by its width.
+// Network families run width-1 blocks instead: having no block kernel,
+// they keep one dynamics state per lane, so a wide block would
+// multiply a run's memory by its width.
 const BlockLanes = 32
 
 // SweepVariant is one member of a parameter sweep: the axes that vary
@@ -44,7 +45,7 @@ type SweepVariant struct {
 	// Steps is the horizon T.
 	Steps int
 	// Replications averages this many independent runs (min 1).
-	// Replication r seeds with SeedFor(Seed, r), matching the serving
+	// Replication r seeds with rng.SeedFor(Seed, r), matching the serving
 	// layer's per-spec execution, so sweep results are bit-identical to
 	// running each variant on its own.
 	Replications int
@@ -65,8 +66,8 @@ type SweepVariant struct {
 	Span span.ID
 	// DrawOrder selects the variant's draw-order contract. "" and "v1"
 	// schedule one (variant, replication) task per replication, each
-	// seeded SeedFor(Seed, rep) — the frozen v1 order, bit-identical to
-	// running the variant alone. "v2" schedules replication BLOCKS of
+	// seeded rng.SeedFor(Seed, rep) — the frozen v1 order, bit-identical
+	// to running the variant alone. "v2" schedules replication BLOCKS of
 	// up to BlockLanes lanes (one lane for network families), each lane
 	// seeded rng.StripeSeed(Seed, rep) with its own independent stream;
 	// results differ from v1 by design (distinct contract), but are
@@ -183,16 +184,15 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 		if variants[v].Steps <= 0 {
 			return nil, fmt.Errorf("%w: variant %d steps=%d", ErrBadOptions, v, variants[v].Steps)
 		}
-		st.reps = max(variants[v].Replications, 1)
+		st.reps, st.width = max(variants[v].Replications, 1), 1
 		switch variants[v].DrawOrder {
 		case "", "v1":
-			tasks += st.reps
 		case "v2":
 			st.width = width
-			tasks += (st.reps + width - 1) / width
 		default:
 			return nil, fmt.Errorf("%w: variant %d draw order %q", ErrBadOptions, v, variants[v].DrawOrder)
 		}
+		tasks += (st.reps + st.width - 1) / st.width
 	}
 
 	workers := opt.Workers
@@ -236,9 +236,10 @@ type sweepRun struct {
 	states   []variantState
 }
 
-// task is either one v1 replication (lanes == 0, seeded SeedFor(Seed,
-// rep)) or one v2 replication block covering replications [rep,
-// rep+lanes) of variant v.
+// task is one replication block of variant v, covering replications
+// [rep, rep+lanes): a single v1 replication seeded rng.SeedFor(Seed,
+// rep), or up to the variant's width of v2 lanes, lane rep+k seeded
+// rng.StripeSeed(Seed, rep+k).
 type task struct{ v, rep, lanes int }
 
 // each hands fn every task in variant order, replications ascending —
@@ -248,15 +249,8 @@ type task struct{ v, rep, lanes int }
 func (r *sweepRun) each(fn func(task)) {
 	for v := range r.states {
 		st := &r.states[v]
-		for rep := 0; rep < st.reps; {
-			tk := task{v: v, rep: rep}
-			if st.width > 0 {
-				tk.lanes = min(st.width, st.reps-rep)
-				rep += tk.lanes
-			} else {
-				rep++
-			}
-			fn(tk)
+		for rep := 0; rep < st.reps; rep += st.width {
+			fn(task{v: v, rep: rep, lanes: min(st.width, st.reps-rep)})
 		}
 	}
 }
@@ -272,25 +266,21 @@ func (r *sweepRun) run(w *sweepWorker, tk task) {
 	r.opt.Counters.Tasks.Add(1)
 	// Span + timing cover the simulation work only: the gate wait above
 	// is queueing, not engine cost.
-	name, lanes := "replication", 1
-	if tk.lanes > 0 {
-		name, lanes = "replication.block", tk.lanes
+	v2 := v.DrawOrder == "v2"
+	name := "replication"
+	if v2 {
+		name = "replication.block"
 	}
 	sid := v.Trace.Start(name, v.Span)
 	v.Trace.SetAttr(sid, "replication", int64(tk.rep))
-	if tk.lanes > 0 {
+	if v2 {
 		v.Trace.SetAttr(sid, "lanes", int64(tk.lanes))
 	}
 	var t0 time.Time
 	if r.opt.OnTask != nil {
 		t0 = time.Now()
 	}
-	var err error
-	if tk.lanes > 0 {
-		err = r.runBlock(w, v, st, tk.rep, tk.lanes)
-	} else {
-		err = r.runSingle(w, v, st, tk.rep)
-	}
+	err := r.runBlock(w, v, st, tk.rep, tk.lanes)
 	elapsed := time.Since(t0)
 	v.Trace.End(sid)
 	if r.opt.Gate != nil {
@@ -301,7 +291,7 @@ func (r *sweepRun) run(w *sweepWorker, tk task) {
 		return
 	}
 	if r.opt.OnTask != nil {
-		r.opt.OnTask(tk.v, lanes, elapsed)
+		r.opt.OnTask(tk.v, tk.lanes, elapsed)
 	}
 }
 
@@ -323,54 +313,17 @@ func acquireGate(ctx context.Context, gate chan struct{}) error {
 	}
 }
 
-// runSingle runs v1 replication rep of v, checking the sweep context
-// every CheckEvery steps.
-func (r *sweepRun) runSingle(w *sweepWorker, v *SweepVariant, st *variantState, rep int) error {
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	g, err := w.group(r.tmpl, v, SeedFor(v.Seed, rep), r.opt.Counters)
-	if err != nil {
-		return fmt.Errorf("experiment: sweep replication %d: %w", rep, err)
-	}
-	rec, row := trajectory(v, rep, g.Options())
-	every := checkEvery(v, 1)
-	var cum float64
-	for t := 1; t <= v.Steps; t++ {
-		if t%every == 0 {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := g.Step(); err != nil {
-			return fmt.Errorf("experiment: sweep step %d: %w", t, err)
-		}
-		reward := g.GroupReward()
-		cum += reward
-		if rec != nil {
-			row[0], row[1] = float64(t), reward
-			if err := rec.Record(g.AppendPopularity(row[:2])...); err != nil {
-				return err
-			}
-		}
-	}
-	w.pop = g.AppendPopularity(w.pop[:0])
-	st.add(rep, cum/float64(v.Steps), g.BestQuality(), w.pop)
-	return nil
-}
-
-// runBlock runs one v2 replication block — lanes replications [lane0,
-// lane0+lanes) of v — folding each lane into the merge exactly as a v1
-// replication would. A block step advances every lane, so the context
-// check interval shrinks by the lane count to keep cancellation
-// latency comparable in simulated work.
+// runBlock runs one task — lanes replications [lane0, lane0+lanes) of
+// v — and folds each lane into the merge. A block step advances every
+// lane, so the context check interval shrinks by the lane count to
+// keep cancellation latency comparable in simulated work.
 func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, lane0, lanes int) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
 	}
 	g, err := w.block(r.tmpl, v, lane0, lanes, r.opt.Counters)
 	if err != nil {
-		return fmt.Errorf("experiment: sweep block at replication %d: %w", lane0, err)
+		return fmt.Errorf("experiment: sweep replication %d: %w", lane0, err)
 	}
 	rec, row := trajectory(v, lane0, g.Options())
 	every := checkEvery(v, lanes)
@@ -381,7 +334,7 @@ func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, l
 			}
 		}
 		if err := g.StepBlock(); err != nil {
-			return fmt.Errorf("experiment: sweep block step %d: %w", t, err)
+			return fmt.Errorf("experiment: sweep step %d: %w", t, err)
 		}
 		if rec != nil {
 			row[0], row[1] = float64(t), g.GroupReward(0)
@@ -418,75 +371,63 @@ func trajectory(v *SweepVariant, rep, m int) (*trace.Recorder, []float64) {
 }
 
 // sweepWorker is one worker's reusable state. Its single-slot engine
-// caches let consecutive tasks that share a shape — above all the
+// cache lets consecutive tasks that share a shape — above all the
 // replications of one variant, contiguous in task order — reuse one
-// group's (or block's) buffers via Reset instead of re-allocating
-// O(N + m) state per task. One slot bounds retention (a sweep of many
-// distinct large-N variants must not pin one engine per shape, the
+// block's buffers via Reset instead of re-allocating O(N + m) state
+// per task. One slot bounds retention (a sweep of many distinct
+// large-N variants must not pin one engine per shape, the
 // resource-exhaustion class the serving layer guards against) while
-// capturing the dominant reuse. Reset replays a fresh group bit for
+// capturing the dominant reuse. Reset replays a fresh block bit for
 // bit (template environments are the stateless IID Bernoulli), so
 // scheduling order cannot affect results.
 type sweepWorker struct {
-	gKey shapeKey
-	g    *core.Group
-	bKey shapeKey
-	b    *core.BlockGroup
-	pop  []float64 // popularity scratch handed to the merge
+	key shapeKey
+	b   *core.BlockGroup
+	pop []float64 // popularity scratch handed to the merge
 }
 
-// shapeKey identifies the engine shape a cached group or block can be
-// Reset into serving: variants differing only in seed, steps, or
-// replications share buffers. Width is part of a block's key: Reset
-// keeps a block's lane count, so a variant's tail block (fewer than
-// BlockLanes replications) never reuses the full-width group — at
-// most one miss per variant.
+// shapeKey identifies the engine shape a cached block can be Reset
+// into serving: variants differing only in seed, steps, or
+// replications share buffers. Width is part of the key: Reset keeps a
+// block's lane count, so a variant's tail block (fewer than BlockLanes
+// replications) never reuses the full-width block — at most one miss
+// per variant. So is the draw order: a one-lane v1 block and a
+// one-lane v2 block differ in engine and in lane seeding.
 type shapeKey struct {
 	n      int
 	engine core.EngineKind
 	lanes  int
+	v2     bool
 }
 
 func shapeOf(v *SweepVariant, lanes int) shapeKey {
+	v2 := v.DrawOrder == "v2"
 	if v.N == 0 {
-		return shapeKey{lanes: lanes} // the infinite process ignores the engine axis
+		return shapeKey{lanes: lanes, v2: v2} // the infinite process ignores the engine axis
 	}
-	return shapeKey{n: v.N, engine: v.Engine, lanes: lanes}
+	return shapeKey{n: v.N, engine: v.Engine, lanes: lanes, v2: v2}
 }
 
-// group returns a group for v's shape seeded seed, reusing the cached
-// one when the worker just ran the same shape.
-func (w *sweepWorker) group(tmpl *core.Template, v *SweepVariant, seed uint64, ctrs *SweepCounters) (*core.Group, error) {
-	key := shapeOf(v, 0)
-	if w.g != nil && w.gKey == key && w.g.Reset(seed) == nil {
-		ctrs.EngineReuses.Add(1)
-		return w.g, nil
-	}
-	w.g = nil
-	g, err := tmpl.Group(v.N, v.Engine, seed)
-	if err != nil {
-		return nil, err
-	}
-	ctrs.EngineBuilds.Add(1)
-	w.gKey, w.g = key, g
-	return g, nil
-}
-
-// block returns a block for v's shape at (Seed, lane0), reusing the
-// cached one when the worker just ran the same shape.
+// block returns a block for v's shape at (Seed, lane0) in v's draw
+// order, reusing the cached one when the worker just ran the same
+// shape.
 func (w *sweepWorker) block(tmpl *core.Template, v *SweepVariant, lane0, lanes int, ctrs *SweepCounters) (*core.BlockGroup, error) {
 	key := shapeOf(v, lanes)
-	if w.b != nil && w.bKey == key && w.b.Reset(v.Seed, lane0) == nil {
+	if w.b != nil && w.key == key && w.b.Reset(v.Seed, lane0) == nil {
 		ctrs.EngineReuses.Add(1)
 		return w.b, nil
 	}
 	w.b = nil
-	b, err := tmpl.NewBlock(v.N, v.Engine, v.Seed, lane0, lanes)
+	build := tmpl.NewBlockV1
+	if key.v2 {
+		build = tmpl.NewBlock
+	}
+	b, err := build(v.N, v.Engine, v.Seed, lane0, lanes)
 	if err != nil {
 		return nil, err
 	}
 	ctrs.EngineBuilds.Add(1)
-	w.bKey, w.b = key, b
+	w.key, w.b = key, b
 	return b, nil
 }
 
@@ -494,7 +435,7 @@ func (w *sweepWorker) block(tmpl *core.Template, v *SweepVariant, lane0, lanes i
 // finished replications.
 type variantState struct {
 	reps  int // replications to run (at least 1)
-	width int // v2 block width; 0 schedules v1 single replications
+	width int // replications per task: 1 under v1, the block width under v2
 
 	mu      sync.Mutex
 	merged  int               // replications folded so far

@@ -151,8 +151,8 @@ func (b *BlockProcess) GroupReward(lane int) float64 { return b.groupRew[lane] }
 // CumulativeGroupReward returns lane's reward summed over all steps.
 func (b *BlockProcess) CumulativeGroupReward(lane int) float64 { return b.cumReward[lane] }
 
-// AppendDistribution appends lane's P^t row to dst and returns it.
-func (b *BlockProcess) AppendDistribution(lane int, dst []float64) []float64 {
+// AppendPopularity appends lane's P^t row to dst and returns it.
+func (b *BlockProcess) AppendPopularity(lane int, dst []float64) []float64 {
 	row := lane * b.m
 	return append(dst, b.p[row:row+b.m]...)
 }

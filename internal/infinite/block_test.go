@@ -55,7 +55,7 @@ func TestBlockLaneMatchesStripeSeededProcess(t *testing.T) {
 		if g, w := b.CumulativeGroupReward(k), p.CumulativeGroupReward(); math.Abs(g-w) > tol*math.Max(1, math.Abs(w)) {
 			t.Fatalf("lane %d cumulative reward %v, process %v", k, g, w)
 		}
-		got := b.AppendDistribution(k, nil)
+		got := b.AppendPopularity(k, nil)
 		want := p.Distribution()
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > tol {
@@ -80,7 +80,7 @@ func TestBlockResetReplays(t *testing.T) {
 			}
 		}
 		for k := 0; k < lanes; k++ {
-			pops = append(pops, b.AppendDistribution(k, nil))
+			pops = append(pops, b.AppendPopularity(k, nil))
 			cums = append(cums, b.CumulativeGroupReward(k))
 		}
 		return pops, cums

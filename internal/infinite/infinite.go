@@ -176,13 +176,13 @@ func (p *Process) Options() int { return p.m }
 
 // Distribution returns a copy of P^t.
 func (p *Process) Distribution() []float64 {
-	return p.AppendDistribution(make([]float64, 0, p.m))
+	return p.AppendPopularity(make([]float64, 0, p.m))
 }
 
-// AppendDistribution appends P^t to dst and returns it, allocating only
-// when dst lacks capacity — the no-copy accessor for per-step internal
-// callers.
-func (p *Process) AppendDistribution(dst []float64) []float64 { return append(dst, p.p...) }
+// AppendPopularity appends P^t, the infinite population's popularity
+// vector, to dst and returns it, allocating only when dst lacks
+// capacity — the no-copy accessor for per-step internal callers.
+func (p *Process) AppendPopularity(dst []float64) []float64 { return append(dst, p.p...) }
 
 // LastRewards returns a copy of the latest reward vector.
 func (p *Process) LastRewards() []float64 {
@@ -190,7 +190,7 @@ func (p *Process) LastRewards() []float64 {
 }
 
 // AppendLastRewards appends R^t to dst and returns it (see
-// AppendDistribution).
+// AppendPopularity).
 func (p *Process) AppendLastRewards(dst []float64) []float64 { return append(dst, p.rewards...) }
 
 // LogPotential returns ln Φ^t, the log of the total weight.

@@ -183,13 +183,14 @@ func (d *Dynamics) Options() int { return d.m }
 
 // Fractions returns a copy of the per-option population shares.
 func (d *Dynamics) Fractions() []float64 {
-	return d.AppendFractions(make([]float64, 0, d.m))
+	return d.AppendPopularity(make([]float64, 0, d.m))
 }
 
-// AppendFractions appends the per-option population shares to dst and
-// returns it, allocating only when dst lacks capacity — the no-copy
-// accessor for per-step internal callers.
-func (d *Dynamics) AppendFractions(dst []float64) []float64 { return append(dst, d.fracs...) }
+// AppendPopularity appends the per-option population shares (the
+// network's popularity vector) to dst and returns it, allocating only
+// when dst lacks capacity — the no-copy accessor for per-step internal
+// callers.
+func (d *Dynamics) AppendPopularity(dst []float64) []float64 { return append(dst, d.fracs...) }
 
 // Choice returns node i's current option.
 func (d *Dynamics) Choice(i int) int { return d.choice[i] }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// This file holds the replication-block engines of the v2 draw order:
+// This file holds the replication-block engine of the v2 draw order:
 // one engine advances a whole block of independent replications
 // ("lanes") together, with per-lane state stored structure-of-arrays
 // (lane k's row of any lanes×m buffer is [k·m, (k+1)·m)) and one
@@ -27,21 +27,22 @@ import (
 //     category order) and then m stage-2 adoption binomials in
 //     ascending category order.
 //
-// Both engines advance the counts-based law this way — O(m) draws per
-// lane-step regardless of population size, where the v1 per-trajectory
-// AgentEngine walks every individual. That is sound because the block
-// engines only admit a homogeneous adoption rule (heterogeneous rules
-// are rejected at construction): under one shared rule the individuals
-// of a lane are exchangeable, so the per-agent walk and the counts-based
-// dynamics are the same stochastic law — the equality the v1
-// AgentEngine/AggregateEngine pair already relies on (package doc).
+// The block engine advances the counts-based law this way for both
+// finite engines — O(m) draws per lane-step regardless of population
+// size, where the v1 per-trajectory AgentEngine walks every individual.
+// That is sound because its constructors only admit a homogeneous
+// adoption rule (heterogeneous rules are rejected at construction):
+// under one shared rule the individuals of a lane are exchangeable, so
+// the per-agent walk and the counts-based dynamics are the same
+// stochastic law — the equality the v1 AgentEngine/AggregateEngine
+// pair already relies on (package doc).
 //
 // Each lane draws only from its own stream, so any partition of R
 // replications into blocks — including R blocks of one lane — replays
 // every lane bit-identically. Block width is a scheduling choice, not
 // part of the contract.
 
-// blockCommon holds the SoA state shared by both block engines.
+// blockCommon holds the block engine's per-lane SoA state.
 type blockCommon struct {
 	lanes, m   int
 	mu         float64
@@ -193,13 +194,15 @@ func (s *blockCommon) finishStep(next []int) (recycled []int) {
 	return recycled
 }
 
-// countBlock is the counts-based stepping core both block engines share:
-// per-lane SoA state plus the stage-1 multinomial sampler and stage-2
-// thinning buffers. The two engine types differ only in what they accept
-// at construction (AgentBlockEngine requires an agent.Linear rule,
-// mirroring the v1 AgentEngine's surface; AggregateBlockEngine any
-// shared rule), not in how they step.
-type countBlock struct {
+// BlockEngine advances a block of finite-population replications in
+// the v2 draw order, for both finite engines: the per-lane SoA state
+// plus the stage-1 multinomial sampler and stage-2 thinning buffers.
+// The two constructors differ only in what they accept
+// (NewAgentBlockEngine requires an agent.Linear rule, mirroring the v1
+// AgentEngine's surface; NewAggregateBlockEngine any shared rule), not
+// in how the block steps, so under v2 the agent and aggregate engines
+// draw identical sequences.
+type BlockEngine struct {
 	blockCommon
 	n           int
 	alpha, beta float64
@@ -209,8 +212,8 @@ type countBlock struct {
 	next        []int     // lanes×m scratch: new committed counts
 }
 
-func newCountBlock(c *Config, m, lane0, lanes int, alpha, beta float64) (countBlock, error) {
-	e := countBlock{
+func newBlockEngine(c *Config, m, lane0, lanes int, alpha, beta float64) (*BlockEngine, error) {
+	e := &BlockEngine{
 		blockCommon: newBlockCommon(c, m, lane0, lanes),
 		n:           c.N,
 		alpha:       alpha,
@@ -226,13 +229,13 @@ func newCountBlock(c *Config, m, lane0, lanes int, alpha, beta float64) (countBl
 	var err error
 	e.sampler, err = dist.NewMultinomialSampler(e.probs)
 	if err != nil {
-		return countBlock{}, fmt.Errorf("population: stage-1 multinomial: %w", err)
+		return nil, fmt.Errorf("population: stage-1 multinomial: %w", err)
 	}
 	return e, nil
 }
 
 // N returns the population size per lane.
-func (e *countBlock) N() int { return e.n }
+func (e *BlockEngine) N() int { return e.n }
 
 // StepBlock advances every lane one time step. Per lane the draw
 // sequence is: the environment's m reward draws, one stage-1 multinomial
@@ -240,7 +243,7 @@ func (e *countBlock) N() int { return e.n }
 // adoption binomials in ascending category order — boundary adoption
 // probabilities (α = 0, β = 1) flow through the binomial's exact clamps
 // and consume no draw, like the v1 scalar paths.
-func (e *countBlock) StepBlock() error {
+func (e *BlockEngine) StepBlock() error {
 	m, L := e.m, e.lanes
 	for k := 0; k < L; k++ {
 		if err := e.stageLane(k, e.next); err != nil {
@@ -267,22 +270,16 @@ func (e *countBlock) StepBlock() error {
 	return nil
 }
 
-// AgentBlockEngine advances a block of EngineAgent replications in the
-// v2 draw order. It requires a homogeneous agent.Linear rule, which
-// makes the individuals of one lane exchangeable — their candidate
-// tallies are exactly Multinomial(n, (1−µ)Q + µ/m) and their adoption
-// outcomes per category sum to a Binomial — so the block form advances
-// the counts-based law directly, in O(m) draws per lane-step where the
-// v1 per-trajectory path walks all n agents. Equal in law to the v1
-// AgentEngine under a shared rule; heterogeneous rules have no block
-// form.
-type AgentBlockEngine struct {
-	countBlock
-}
-
 // NewAgentBlockEngine validates the config and builds a block of lanes
-// replications seeded at global lane lane0 from c.Seed.
-func NewAgentBlockEngine(c Config, lane0, lanes int) (*AgentBlockEngine, error) {
+// EngineAgent replications seeded at global lane lane0 from c.Seed. It
+// requires a homogeneous agent.Linear rule, which makes the individuals
+// of one lane exchangeable — their candidate tallies are exactly
+// Multinomial(n, (1−µ)Q + µ/m) and their adoption outcomes per category
+// sum to a Binomial — so the block advances the counts-based law
+// directly, in O(m) draws per lane-step where the v1 per-trajectory
+// path walks all n agents. Equal in law to the v1 AgentEngine under a
+// shared rule; heterogeneous rules have no block form.
+func NewAgentBlockEngine(c Config, lane0, lanes int) (*BlockEngine, error) {
 	m, err := c.validate(false)
 	if err != nil {
 		return nil, err
@@ -297,24 +294,15 @@ func NewAgentBlockEngine(c Config, lane0, lanes int) (*AgentBlockEngine, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w: block engine requires an agent.Linear rule", ErrBadConfig)
 	}
-	cb, err := newCountBlock(&c, m, lane0, lanes, lin.Alpha(), lin.Beta())
-	if err != nil {
-		return nil, err
-	}
-	return &AgentBlockEngine{countBlock: cb}, nil
-}
-
-// AggregateBlockEngine advances a block of AggregateEngine replications
-// in the v2 draw order: per lane, environment rewards, one stage-1
-// multinomial, then stage-2 binomial thinning for the whole block in
-// ascending option order per lane. It requires a shared adoption rule.
-type AggregateBlockEngine struct {
-	countBlock
+	return newBlockEngine(&c, m, lane0, lanes, lin.Alpha(), lin.Beta())
 }
 
 // NewAggregateBlockEngine validates the config and builds a block of
-// lanes replications seeded at global lane lane0 from c.Seed.
-func NewAggregateBlockEngine(c Config, lane0, lanes int) (*AggregateBlockEngine, error) {
+// lanes AggregateEngine replications seeded at global lane lane0 from
+// c.Seed: per lane, environment rewards, one stage-1 multinomial, then
+// stage-2 binomial thinning for the whole block in ascending option
+// order per lane. It requires a shared adoption rule.
+func NewAggregateBlockEngine(c Config, lane0, lanes int) (*BlockEngine, error) {
 	m, err := c.validate(true)
 	if err != nil {
 		return nil, err
@@ -325,9 +313,5 @@ func NewAggregateBlockEngine(c Config, lane0, lanes int) (*AggregateBlockEngine,
 	if c.Rules != nil {
 		return nil, fmt.Errorf("%w: AggregateEngine requires a homogeneous rule", ErrBadConfig)
 	}
-	cb, err := newCountBlock(&c, m, lane0, lanes, c.Rule.Alpha(), c.Rule.Beta())
-	if err != nil {
-		return nil, err
-	}
-	return &AggregateBlockEngine{countBlock: cb}, nil
+	return newBlockEngine(&c, m, lane0, lanes, c.Rule.Alpha(), c.Rule.Beta())
 }

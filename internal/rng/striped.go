@@ -1,11 +1,18 @@
 package rng
 
-// This file is the v2 ("striped") half of the draw-order contract: one
+// This file holds both replication seed schedules of the draw-order
+// contract. v1 gives replication rep of a spec with base seed base one
+// stream of its own, New(SeedFor(base, rep)). v2 ("striped") gives one
 // independent xoshiro stream per replication lane, stored contiguously
-// so block engines stride through lane states cache-linearly. The v1
-// surface (one stream per trajectory, formulas in the package doc) is
-// untouched; v2 adds a second frozen surface on top of the same
-// primitive generator.
+// so block engines stride through lane states cache-linearly. Both
+// sit on the same primitive generator, and both formulas are frozen.
+//
+// # The v1 replication-seed formula is frozen
+//
+// SeedFor(base, rep) is base + rep·γ with SplitMix64's γ
+// (0x9e3779b97f4a7c15). Replication 0 therefore runs on the spec's own
+// seed, which is why a one-replication service run replays a direct
+// core.New run of the same seed.
 //
 // # The v2 lane-seed formula is frozen
 //
@@ -16,12 +23,18 @@ package rng
 // where StripeSeed applies the SplitMix64 finalizer to
 // base + (k+1)·0xd1342543de82ef95. The additive constant deliberately
 // differs from SplitMix64's γ so that v2 lane seeds never coincide with
-// the v1 per-replication seed schedule (base + rep·γ): a spec run under
-// v2 produces different draws from the same spec under v1 even at one
-// replication, which is what keeps the two draw orders honestly
-// distinct cache keys. Lane numbering is global to the run — lane k of
-// a block starting at lane0 is stream lane0+k — so any partition of R
-// replications into blocks replays bit-identically.
+// the v1 schedule: a spec run under v2 produces different draws from
+// the same spec under v1 even at one replication, which is what keeps
+// the two draw orders honestly distinct cache keys. Lane numbering is
+// global to the run — lane k of a block starting at lane0 is stream
+// lane0+k — so any partition of R replications into blocks replays
+// bit-identically.
+
+// SeedFor returns the seed of replication rep in the v1 draw order for
+// base seed base.
+func SeedFor(base uint64, rep int) uint64 {
+	return base + uint64(rep)*0x9e3779b97f4a7c15
+}
 
 // stripeGamma is the v2 lane-seed increment. It is the odd constant
 // from Steele & Vigna's LXM mixers, chosen here simply as a

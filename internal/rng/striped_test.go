@@ -20,12 +20,15 @@ func TestStripeSeedSchedule(t *testing.T) {
 		seen[s] = lane
 	}
 	// The v2 lane schedule must not coincide with the v1 replication
-	// schedule (seed + rep·γ, from experiment.SeedFor) — that is what
-	// makes v2 a genuinely distinct draw order even at one replication.
+	// schedule (SeedFor: seed + rep·γ, frozen) — that is what makes v2 a
+	// genuinely distinct draw order even at one replication.
 	const v1Gamma = 0x9e3779b97f4a7c15
 	for _, base := range []uint64{0, 1, 42, 1 << 40, math.MaxUint64} {
 		for lane := 0; lane < 64; lane++ {
-			v1 := base + uint64(lane)*v1Gamma
+			v1 := SeedFor(base, lane)
+			if v1 != base+uint64(lane)*v1Gamma {
+				t.Fatalf("SeedFor(%d, %d) = %d left the frozen v1 formula", base, lane, v1)
+			}
 			if StripeSeed(base, lane) == v1 {
 				t.Fatalf("StripeSeed(%d, %d) collides with the v1 seed schedule", base, lane)
 			}
