@@ -240,9 +240,8 @@ func BenchmarkSweepBlock(b *testing.B) {
 // TestBlockStepAllocs pins the block path's zero-allocation contract: a
 // steady-state StepBlock of every engine — through the core.BlockGroup
 // seam the v2 scheduler drives — performs no heap allocation, at a
-// width (5) that exercises both the quad kernel and the single-lane
-// tail. Skipped under the race detector, whose instrumentation
-// perturbs allocation counts.
+// width (5) that is not a power of two. Skipped under the race
+// detector, whose instrumentation perturbs allocation counts.
 func TestBlockStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

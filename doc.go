@@ -27,7 +27,9 @@
 // axes, is admitted as one job whose work charge is the summed
 // per-variant cost, and executes through internal/experiment.RunSweep,
 // which resolves the family once (core.Template) and fans
-// (variant, replication) tasks across a bounded worker group.
+// (variant, replication) tasks across a bounded set of workers, the
+// calling goroutine among them, each claiming the next task in order
+// from one atomic cursor.
 // RunSweep is the scheduler's only replication loop, and every job
 // takes one run path into it: the job is marked running, passes the
 // sched.run fault seam and makes one RunSweep call. A single spec is a
@@ -75,7 +77,9 @@
 // with no per-call allocation or re-validation; Alias.Rebuild
 // reconstructs a Walker table in place, reusing every buffer; and
 // BinomialUnchecked skips per-draw validation for parameters the
-// engine validated at construction. The innermost loops run as bulk
+// engine validated at construction, while a Thinning also computes
+// once what each stage-2 adoption draw, at the rule's fixed α or β,
+// would otherwise derive per call. The innermost loops run as bulk
 // draw kernels in internal/rng (AliasSampleInto, ThresholdCountInto)
 // that keep the generator state in registers, branchless where the
 // outcome is decided by a random draw. internal/experiment.RunSweep

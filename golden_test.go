@@ -10,10 +10,11 @@ package repro_test
 // frozen: any change to those values means a pre-versioning spec no longer
 // replays to the same report and every persisted cache entry is silently
 // stale. goldenWantsV2 pins the draw_order v2 replication-block contract
-// (5 lanes: the quad kernel plus a single-lane tail, merged in replication
-// order with the serving arithmetic). Regenerate (run with GOLDEN_PRINT=1
-// and paste the output) only when a draw-order change is deliberate enough
-// to mint a NEW version — existing versions' tables never change.
+// (one block of 5 lanes, a partition that is not a power of two, merged
+// in replication order with the serving arithmetic). Regenerate (run with
+// GOLDEN_PRINT=1 and paste the output) only when a draw-order change is
+// deliberate enough to mint a NEW version — existing versions' tables
+// never change.
 
 import (
 	"fmt"
@@ -114,10 +115,11 @@ func runGolden(t testing.TB, gc goldenCase) core.Report {
 	return report
 }
 
-// goldenV2Lanes is the block width the v2 fixtures run at: 5 lanes
-// exercises the 4-lane quad kernel AND the single-lane fused tail in one
-// fixture, and the replication-order merge below makes the values
-// independent of the width anyway (the chunk-invariance contract).
+// goldenV2Lanes is the block width the v2 fixtures run at: 5 lanes is a
+// partition that is not a power of two, and since every lane replays the
+// same draws at any width (the chunk-invariance contract) and the
+// replication-order merge below is width-independent, the fixtures pin
+// that partition to the values every other one must give.
 const goldenV2Lanes = 5
 
 // runGoldenV2 runs the case as one draw_order v2 replication block and

@@ -24,7 +24,7 @@ func Binomial(r *rng.RNG, n int, p float64) (int, error) {
 	if r == nil || n < 0 || math.IsNaN(p) || p < 0 || p > 1 {
 		return 0, fmt.Errorf("%w: binomial(n=%d, p=%v)", ErrBadParam, n, p)
 	}
-	return binomial(r, n, p), nil
+	return BinomialUnchecked(r, n, p), nil
 }
 
 // BinomialUnchecked draws k ~ Bin(n, p) without parameter validation:
@@ -32,34 +32,68 @@ func Binomial(r *rng.RNG, n int, p float64) (int, error) {
 // validated once at engine construction). It consumes exactly the same
 // RNG draw sequence as Binomial, so swapping the two never changes a
 // simulation's emitted bits — it only removes the per-draw validation
-// from hot loops that issue millions of draws per job.
+// from hot loops that issue millions of draws per job. It suits a p
+// that changes per call, like the multinomial decomposition's
+// conditional binomials: BTRS derives ln(p/q) only if it needs it.
 func BinomialUnchecked(r *rng.RNG, n int, p float64) int {
-	return binomial(r, n, p)
+	return binomial(r, n, p, mirror(p), lpqUnset)
 }
 
-// binomial is the unchecked sampling core shared by Binomial,
-// BinomialUnchecked, and the multinomial decomposition.
-func binomial(r *rng.RNG, n int, p float64) int {
+// Thinning draws Bin(n, p) for one p fixed across many draws: the
+// stage-2 adoption draws, whose p is a rule's α or β. It computes once
+// what every BinomialUnchecked call derives from p alone, the mirrored
+// p of the symmetry reduction and BTRS's ln(p/q). Draws equal
+// BinomialUnchecked(r, n, p) bit for bit: same value, same uniforms.
+type Thinning struct {
+	p, ps, lpq float64 // p; mirror(p); ln(ps/(1−ps))
+}
+
+// NewThinning precomputes p's draw constants. Like BinomialUnchecked it
+// does not validate: the caller guarantees p ∈ [0, 1].
+func NewThinning(p float64) Thinning {
+	ps := mirror(p)
+	return Thinning{p: p, ps: ps, lpq: math.Log(ps / (1 - ps))}
+}
+
+// Draw draws k ~ Bin(n, p); the caller guarantees r non-nil and n ≥ 0.
+func (t *Thinning) Draw(r *rng.RNG, n int) int {
+	return binomial(r, n, t.p, t.ps, t.lpq)
+}
+
+// mirror is the symmetry reduction's p: p itself up to 1/2, else 1−p.
+func mirror(p float64) float64 {
+	if p > 0.5 {
+		return 1 - p
+	}
+	return p
+}
+
+// lpqUnset stands in for ln(p/q), which is never positive for p ≤ 1/2,
+// when the caller has not computed it: BTRS computes it on demand.
+const lpqUnset = 1
+
+// binomial is the unchecked sampling core: it draws Bin(n, p) given
+// ps = mirror(p) and lpq = ln(ps/(1−ps)) or lpqUnset.
+func binomial(r *rng.RNG, n int, p, ps, lpq float64) int {
 	if n == 0 || p == 0 {
 		return 0
 	}
 	if p == 1 {
 		return n
 	}
+	k := binomialSmallP(r, n, ps, lpq)
 	if p > 0.5 {
-		// Symmetry reduction, flattened (the checked entry point used
-		// to recurse through the validation prologue).
-		return n - binomialSmallP(r, n, 1-p)
+		return n - k
 	}
-	return binomialSmallP(r, n, p)
+	return k
 }
 
-// binomialSmallP dispatches by regime for 0 < p ≤ 1/2, n ≥ 1. Every
-// regime hoists the generator state into registers (rng.Local) for its
-// draw loop; the stream is unchanged.
-func binomialSmallP(r *rng.RNG, n int, p float64) int {
+// binomialSmallP dispatches by regime for 0 < p ≤ 1/2, n ≥ 1; lpq is
+// as for binomial. Every regime hoists the generator state into
+// registers (rng.Local) for its draw loop; the stream is unchanged.
+func binomialSmallP(r *rng.RNG, n int, p, lpq float64) int {
 	if float64(n)*p >= btrsMinMean {
-		return btrs(r, n, p)
+		return btrs(r, n, p, lpq)
 	}
 	if n <= directMaxN {
 		x := r.Hoist()
@@ -116,12 +150,14 @@ func geometricBinomial(r *rng.RNG, n int, p float64) int {
 //
 // The exact-acceptance constants (α, ln(p/q), the mode, and its
 // log-gamma term h — two math.Lgamma calls) are only needed when the
-// cheap squeeze fails, which the algorithm is tuned to make rare; they
-// are computed lazily on the first squeeze failure so the common
-// all-squeeze-accept call pays one sqrt and a handful of multiplies.
-// Laziness never changes the draw sequence or the accepted value: the
-// same uniforms feed the same tests with the same constants.
-func btrs(r *rng.RNG, n int, p float64) int {
+// cheap squeeze fails; they are computed lazily on the first squeeze
+// failure so the all-squeeze-accept call pays one sqrt and a handful
+// of multiplies. ln(p/q) depends on p alone, so a caller drawing many
+// times at one p passes it in as lpq (see Thinning); lpqUnset defers it
+// to the first squeeze failure with the others. Neither changes the draw
+// sequence or the accepted value: the same uniforms feed the same
+// tests with the same constants.
+func btrs(r *rng.RNG, n int, p, lpq float64) int {
 	q := 1 - p
 	nf := float64(n)
 	spq := math.Sqrt(nf * p * q)
@@ -129,7 +165,7 @@ func btrs(r *rng.RNG, n int, p float64) int {
 	a := -0.0873 + 0.0248*b + 0.01*p
 	c := nf*p + 0.5
 	vr := 0.92 - 4.2/b
-	var alpha, lpq, m, h float64
+	var alpha, m, h float64
 	exactReady := false
 	// Generator state in plain scalar locals with the frozen Uint64
 	// and Float64 kernels expanded in place (struct-based hoisting
@@ -168,7 +204,9 @@ func btrs(r *rng.RNG, n int, p float64) int {
 		// Squeeze failed: exact log-acceptance test.
 		if !exactReady {
 			alpha = (2.83 + 5.1/b) * spq
-			lpq = math.Log(p / q)
+			if lpq == lpqUnset {
+				lpq = math.Log(p / q)
+			}
 			m = math.Floor(float64(n+1) * p)
 			h = lgammaInt(m+1) + lgammaInt(nf-m+1)
 			exactReady = true

@@ -10,15 +10,18 @@ func TestBinomialBlockMatchesPerLaneDraws(t *testing.T) {
 	const lanes, m = 5, 4
 	n := make([]int, lanes*m)
 	p := make([]float64, lanes*m)
+	thin := make([]*Thinning, lanes*m)
 	setup := rng.New(11)
 	for i := range n {
 		n[i] = setup.Intn(500)
 		p[i] = setup.Float64()
+		th := NewThinning(p[i])
+		thin[i] = &th
 	}
 
 	s := rng.NewStriped(321, 2, lanes)
 	got := make([]int, lanes*m)
-	BinomialBlock(s, lanes, m, n, p, got)
+	BinomialBlock(s, lanes, m, n, thin, got)
 
 	ref := rng.NewStriped(321, 2, lanes)
 	for k := 0; k < lanes; k++ {

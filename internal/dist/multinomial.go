@@ -66,7 +66,7 @@ func multinomialInto(r *rng.RNG, n int, probs []float64, total float64, lastPos 
 		if pj > 1 {
 			pj = 1
 		}
-		k := binomial(r, remaining, pj)
+		k := BinomialUnchecked(r, remaining, pj)
 		out[j] = k
 		remaining -= k
 		remainingP -= probs[j]

@@ -44,6 +44,29 @@ func TestBinomialUncheckedMatchesBinomial(t *testing.T) {
 	}
 }
 
+// TestThinningMatchesBinomialUnchecked checks the precomputed stage-2
+// draw against the per-call path in every regime — direct loop (n ≤ 30),
+// geometric skipping, BTRS, both sides of the symmetry reduction and
+// the exact clamps at p ∈ {0, 1} — draw for draw: the same k from the
+// same uniforms, so the generators stay in step.
+func TestThinningMatchesBinomialUnchecked(t *testing.T) {
+	for _, n := range []int{0, 7, 29, 31, 250, 100_000} {
+		for _, p := range []float64{0, 0.05, 0.3, 0.5, 0.7, 0.95, 1} {
+			thin := NewThinning(p)
+			r1, r2 := rng.New(13), rng.New(13)
+			for i := 0; i < 300; i++ {
+				want := BinomialUnchecked(r1, n, p)
+				if got := thin.Draw(r2, n); got != want {
+					t.Fatalf("Thinning(%v).Draw(n=%d) draw %d = %d, want %d", p, n, i, got, want)
+				}
+				if *r1 != *r2 {
+					t.Fatalf("Thinning(%v).Draw(n=%d) draw %d left the generator elsewhere", p, n, i)
+				}
+			}
+		}
+	}
+}
+
 func TestMultinomialSamplerMatchesMultinomial(t *testing.T) {
 	probsSets := [][]float64{
 		{0.9, 0.05, 0.05},

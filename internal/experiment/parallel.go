@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -19,28 +21,11 @@ func ParallelSummary(reps int, fn func(rep int) (float64, error)) (stats.Summary
 	if reps <= 0 || fn == nil {
 		return out, fmt.Errorf("%w: reps=%d", ErrBadOptions, reps)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > reps {
-		workers = reps
-	}
 	values := make([]float64, reps)
 	errs := make([]error, reps)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := range next {
-				values[rep], errs[rep] = fn(rep)
-			}
-		}()
-	}
-	for rep := 0; rep < reps; rep++ {
-		next <- rep
-	}
-	close(next)
-	wg.Wait()
+	claimAll(context.TODO(), int64(reps), 0, func() func(int64) {
+		return func(rep int64) { values[rep], errs[rep] = fn(int(rep)) }
+	})
 	for rep := 0; rep < reps; rep++ {
 		if errs[rep] != nil {
 			return out, fmt.Errorf("experiment: replication %d: %w", rep, errs[rep])
@@ -48,6 +33,35 @@ func ParallelSummary(reps int, fn func(rep int) (float64, error)) (stats.Summary
 		out.Add(values[rep])
 	}
 	return out, nil
+}
+
+// claimAll runs each index of [0, n) once on up to workers goroutines
+// (0 selects GOMAXPROCS), the caller's among them, each running what
+// its own newWorker call returns. Workers claim indices in ascending
+// order from one atomic cursor, with no feeder between tasks, and stop
+// claiming once ctx is done, leaving the unclaimed indices unrun.
+func claimAll(ctx context.Context, n int64, workers int, newWorker func() func(i int64)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var cursor atomic.Int64
+	work := func() {
+		run := newWorker()
+		for ctx.Err() == nil {
+			i := cursor.Add(1) - 1
+			if i >= n {
+				return
+			}
+			run(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(int64(workers), n) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
 }
 
 // SeedFor derives replication rep's seed from a base seed by the v1

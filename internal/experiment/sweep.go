@@ -3,7 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,7 +128,7 @@ type SweepCounters struct {
 type SweepOptions struct {
 	// Workers caps the number of concurrent tasks (replications, or
 	// replication blocks for v2 variants) of this sweep; 0 selects
-	// GOMAXPROCS.
+	// GOMAXPROCS. The calling goroutine is one of the workers.
 	Workers int
 	// Gate, when non-nil, is a shared buffered channel acquired (send)
 	// around each task's simulation work, bounding the AGGREGATE
@@ -151,14 +151,14 @@ type SweepOptions struct {
 // RunSweep executes every variant of a shared-family sweep with
 // amortized setup: the family config (qualities, β, α, µ, and an
 // optional network) is resolved once into a core.Template, and the
-// (variant, replication) tasks fan out across a bounded worker group
-// instead of serializing per variant. proto carries the family fields;
-// its N, Engine, and Seed are ignored. With one worker the tasks run
-// serially on the calling goroutine.
+// (variant, replication) tasks fan out across the workers, each
+// claiming the next task in order. proto carries the family fields;
+// its N, Engine, and Seed are ignored.
 //
 // Per-variant failures, context cancellation included, are reported
 // in the corresponding SweepResult.Err; RunSweep itself errors only on
-// invalid options or an invalid family.
+// invalid options or an invalid family. Once ctx is done no task
+// starts, so a canceled sweep returns when its running tasks have.
 func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, opt SweepOptions) ([]SweepResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("%w: empty sweep", ErrBadOptions)
@@ -177,8 +177,8 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 	if proto.Network != nil {
 		width = 1
 	}
-	r := &sweepRun{ctx: ctx, tmpl: tmpl, variants: variants, opt: opt, states: make([]variantState, len(variants))}
-	tasks := 0
+	r := &sweepRun{ctx: ctx, tmpl: tmpl, variants: variants, opt: opt,
+		states: make([]variantState, len(variants)), bounds: make([]int64, len(variants)+1)}
 	for v := range variants {
 		st := &r.states[v]
 		if variants[v].Steps <= 0 {
@@ -192,36 +192,21 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 		default:
 			return nil, fmt.Errorf("%w: variant %d draw order %q", ErrBadOptions, v, variants[v].DrawOrder)
 		}
-		tasks += (st.reps + st.width - 1) / st.width
+		r.bounds[v+1] = r.bounds[v] + int64(st.reps-1)/int64(st.width) + 1
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, tasks); workers == 1 {
+	claimAll(ctx, r.bounds[len(variants)], opt.Workers, func() func(int64) {
 		var w sweepWorker
-		r.each(func(tk task) { r.run(&w, tk) })
-	} else {
-		next := make(chan task)
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var w sweepWorker
-				for tk := range next {
-					r.run(&w, tk)
-				}
-			}()
-		}
-		r.each(func(tk task) { next <- tk })
-		close(next)
-		wg.Wait()
-	}
+		return func(i int64) { r.run(&w, r.task(i)) }
+	})
 
 	out := make([]SweepResult, len(variants))
 	for v := range r.states {
+		if st := &r.states[v]; st.err == nil && st.merged < st.reps {
+			// Claims stopped in task order once ctx was done: a serial
+			// run meets ctx's error first, at the lowest unclaimed rep.
+			st.err = ctx.Err()
+		}
 		out[v] = r.states[v].result()
 	}
 	return out, nil
@@ -234,6 +219,7 @@ type sweepRun struct {
 	variants []SweepVariant
 	opt      SweepOptions
 	states   []variantState
+	bounds   []int64 // variant v's tasks are [bounds[v], bounds[v+1]), counted past 2³¹
 }
 
 // task is one replication block of variant v, covering replications
@@ -242,17 +228,16 @@ type sweepRun struct {
 // rng.StripeSeed(Seed, rep+k).
 type task struct{ v, rep, lanes int }
 
-// each hands fn every task in variant order, replications ascending —
-// the order that keeps a variant's replications contiguous for the
-// worker engine caches. Tasks are generated, not materialized, so a
-// many-replication variant costs no task list.
-func (r *sweepRun) each(fn func(task)) {
-	for v := range r.states {
-		st := &r.states[v]
-		for rep := 0; rep < st.reps; rep += st.width {
-			fn(task{v: v, rep: rep, lanes: min(st.width, st.reps-rep)})
-		}
-	}
+// task returns the i-th task in task order: variants in order,
+// replications ascending — the order that keeps a variant's
+// replications contiguous for the worker engine caches. Tasks are
+// generated, not materialized: the index maps to its variant by binary
+// search over bounds, so a many-replication variant costs no task list.
+func (r *sweepRun) task(i int64) task {
+	v := sort.Search(len(r.states), func(v int) bool { return r.bounds[v+1] > i })
+	st := &r.states[v]
+	rep := int(i-r.bounds[v]) * st.width
+	return task{v: v, rep: rep, lanes: min(st.width, st.reps-rep)}
 }
 
 // run executes one task on worker w; the task's replications fold into

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -176,6 +177,93 @@ func TestRunSweepBadOptions(t *testing.T) {
 	if _, err := RunSweep(context.Background(), bad,
 		[]SweepVariant{{N: 10, Steps: 10, Seed: 1}}, SweepOptions{}); err == nil {
 		t.Error("invalid family accepted")
+	}
+}
+
+// TestRunSweepClaimOrder runs one mixed v1/v2 sweep of 235 cheap tasks
+// through a shared gate at several worker counts. However the workers
+// interleave their claims, every count must reproduce the one-worker
+// results bit for bit, start each task exactly once, and return every
+// gate slot.
+func TestRunSweepClaimOrder(t *testing.T) {
+	t.Parallel()
+
+	proto := core.Config{Qualities: []float64{0.9, 0.6, 0.3}, Beta: 0.8, Alpha: 0.35}
+	variants := []SweepVariant{
+		{N: 300, Steps: 6, Seed: 1, Replications: 100},
+		{N: 40, Engine: core.EngineAgent, Steps: 5, Seed: 2, Replications: 70},
+		{N: 2000, Steps: 7, Seed: 3, Replications: 2*BlockLanes + 5, DrawOrder: "v2"},
+		{N: 0, Steps: 8, Seed: 4, Replications: 60},
+		{N: 50, Engine: core.EngineAgent, Steps: 4, Seed: 5, Replications: BlockLanes, DrawOrder: "v2"},
+		{N: 700, Steps: 3, Seed: 6, Replications: 5, DrawOrder: "v2"},
+	}
+	const tasks = 100 + 70 + 3 + 60 + 1 + 1
+	var want []SweepResult
+	for _, workers := range []int{1, 2, 3, 16} {
+		var ctrs SweepCounters
+		gate := make(chan struct{}, 2)
+		results, err := RunSweep(context.Background(), proto, variants,
+			SweepOptions{Workers: workers, Gate: gate, Counters: &ctrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ctrs.Tasks.Load(); got != tasks {
+			t.Errorf("workers=%d: %d tasks started, want %d", workers, got, tasks)
+		}
+		if len(gate) != 0 {
+			t.Errorf("workers=%d: %d gate slots still held", workers, len(gate))
+		}
+		if want == nil {
+			want = results
+		}
+		for v := range variants {
+			assertSweepResultEqual(t, fmt.Sprintf("workers=%d variant %d", workers, v), results[v], want[v])
+		}
+	}
+}
+
+// TestRunSweepCancelGiant cancels, after its first task, a sweep the
+// serving layer admits: 60 variants of 5·10⁷ one-step replications at
+// m = 2, 3·10⁹ tasks, more than a 32-bit int counts. Workers must stop
+// claiming at once, not run or fail the remaining tasks one by one, and
+// every variant must report the cancellation.
+func TestRunSweepCancelGiant(t *testing.T) {
+	t.Parallel()
+
+	proto := core.Config{Qualities: []float64{0.8, 0.4}, Beta: 0.65}
+	variants := make([]SweepVariant, 60)
+	for v := range variants {
+		variants[v] = SweepVariant{N: 100, Steps: 1, Seed: uint64(v), Replications: 50_000_000}
+	}
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ctrs SweepCounters
+		opt := SweepOptions{Workers: workers, Counters: &ctrs,
+			OnTask: func(int, int, time.Duration) { cancel() }}
+		done := make(chan struct{})
+		var results []SweepResult
+		var err error
+		go func() {
+			defer close(done)
+			results, err = RunSweep(ctx, proto, variants, opt)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: RunSweep still running 30 s after it was canceled", workers)
+		}
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctrs.Tasks.Load() < 1 {
+			t.Errorf("workers=%d: no task started", workers)
+		}
+		for v, res := range results {
+			if !errors.Is(res.Err, context.Canceled) {
+				t.Fatalf("workers=%d variant %d: Err = %v, want context.Canceled", workers, v, res.Err)
+			}
+		}
 	}
 }
 

@@ -205,21 +205,21 @@ func (s *blockCommon) finishStep(next []int) (recycled []int) {
 type BlockEngine struct {
 	blockCommon
 	n           int
-	alpha, beta float64
+	alpha, beta dist.Thinning // stage-2 adoption draws at p = α and β
 	sampler     *dist.MultinomialSampler
-	sampled     []int     // lanes×m stage-1 multinomial counts
-	padopt      []float64 // lanes×m stage-2 thinning probabilities
-	next        []int     // lanes×m scratch: new committed counts
+	sampled     []int            // lanes×m stage-1 multinomial counts
+	padopt      []*dist.Thinning // lanes×m stage-2 draws: &alpha or &beta
+	next        []int            // lanes×m scratch: new committed counts
 }
 
 func newBlockEngine(c *Config, m, lane0, lanes int, alpha, beta float64) (*BlockEngine, error) {
 	e := &BlockEngine{
 		blockCommon: newBlockCommon(c, m, lane0, lanes),
 		n:           c.N,
-		alpha:       alpha,
-		beta:        beta,
+		alpha:       dist.NewThinning(alpha),
+		beta:        dist.NewThinning(beta),
 		sampled:     make([]int, lanes*m),
-		padopt:      make([]float64, lanes*m),
+		padopt:      make([]*dist.Thinning, lanes*m),
 		next:        make([]int, lanes*m),
 	}
 	// Validate the stage-1 family once; every later probs vector is the
@@ -256,9 +256,9 @@ func (e *BlockEngine) StepBlock() error {
 		pad := e.padopt[row : row+m]
 		for j, x := range rew {
 			if x >= 1 {
-				pad[j] = e.beta
+				pad[j] = &e.beta
 			} else {
-				pad[j] = e.alpha
+				pad[j] = &e.alpha
 			}
 		}
 	}

@@ -474,8 +474,8 @@ func (e *AgentEngine) Step() error {
 type AggregateEngine struct {
 	common
 	n       int
-	alpha   float64
-	beta    float64
+	alpha   dist.Thinning // stage-2 adoption draw at p = α
+	beta    dist.Thinning // stage-2 adoption draw at p = β
 	sampler *dist.MultinomialSampler
 	sampled []int // scratch: stage-1 multinomial counts
 	next    []int // scratch: new committed counts
@@ -496,8 +496,8 @@ func NewAggregateEngine(c Config) (*AggregateEngine, error) {
 	e := &AggregateEngine{
 		common:  newCommon(&c, m),
 		n:       c.N,
-		alpha:   c.Rule.Alpha(),
-		beta:    c.Rule.Beta(),
+		alpha:   dist.NewThinning(c.Rule.Alpha()),
+		beta:    dist.NewThinning(c.Rule.Beta()),
 		sampled: make([]int, m),
 		next:    make([]int, m),
 	}
@@ -534,11 +534,11 @@ func (e *AggregateEngine) Step() error {
 	// into [0, 1] by the rule's constructor, so the unchecked sampler
 	// is safe — and draw-for-draw identical to the checked one.
 	for j, s := range e.sampled {
-		p := e.alpha
+		t := &e.alpha
 		if e.rewards[j] >= 1 {
-			p = e.beta
+			t = &e.beta
 		}
-		e.next[j] = dist.BinomialUnchecked(e.r, s, p)
+		e.next[j] = t.Draw(e.r, s)
 	}
 	e.next = e.commitCounts(e.next)
 	return nil

@@ -365,8 +365,9 @@ type SchedulerConfig struct {
 	// many slots, so total sweep-task parallelism is SweepWorkers —
 	// not Workers × SweepWorkers — and total simulation parallelism
 	// stays within Workers + SweepWorkers (a worker driving a sweep
-	// job blocks on the gate rather than computing, and a single-spec
-	// job runs on its worker outside the gate).
+	// job is one of its SweepWorkers workers and computes only while
+	// it holds a gate slot, and a single-spec job runs on its worker
+	// outside the gate).
 	// 0 defaults to Workers.
 	SweepWorkers int
 	// MaxCost, when positive, is each worker's share of the wall-clock
@@ -911,7 +912,8 @@ func (s *Scheduler) settle(job *Job, reports []*Report, err error) {
 // The job kind decides only the variant list, the family config and
 // the fan-out: a single spec is one variant whose replications run
 // serially on this worker, outside the sweep gate; a sweep job's
-// tasks fan out through the shared gate.
+// tasks fan out through the shared gate to this worker and
+// SweepWorkers−1 goroutines.
 func (s *Scheduler) run(job *Job) {
 	if !s.dequeue(job) {
 		return
