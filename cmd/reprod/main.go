@@ -1,8 +1,9 @@
 // Command reprod is the simulation-serving daemon: it exposes the
 // library through internal/service's HTTP API with a bounded job
 // scheduler (one queue per priority class, which every -workers
-// worker takes from), a batched sweep engine (POST /v1/sweep; see
-// -sweep-workers), and a tiered result store — an in-memory LRU front
+// worker takes from), a batched sweep engine (POST /v1/sweep) whose
+// gate of -sweep-workers slots the replications of every job, solo or
+// sweep, share, and a tiered result store — an in-memory LRU front
 // and, with -store-dir set, a crash-safe on-disk segment log behind
 // it, so computed results survive restarts and the server warm-starts
 // answering previously computed specs "cached":true. It shuts down
@@ -91,7 +92,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		cache      = fs.Int("cache", 1024, "cached reports (0 disables storage, keeps single-flight)")
 		retain     = fs.Int("retain", 1024, "finished jobs kept queryable")
 		jobTime    = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock limit once running (0 disables)")
-		sweepW     = fs.Int("sweep-workers", 0, "sweep tasks running at once across all sweep jobs (0 = workers)")
+		sweepW     = fs.Int("sweep-workers", 0, "simulation tasks running at once across all jobs, solo and sweep (0 = workers)")
 		drainFor   = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
 		drainGrace = fs.Duration("drain-grace", 0, "pause between failing readiness (/readyz 503) and closing listeners, so load balancers stop routing first")
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")

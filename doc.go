@@ -33,10 +33,11 @@
 // RunSweep is the scheduler's only replication loop, and every job
 // takes one run path into it: the job is marked running, passes the
 // sched.run fault seam and makes one RunSweep call. A single spec is a
-// sweep of one variant whose replications run serially on the worker
-// that took it, outside the sweep gate, bit-identical to running the
-// spec by hand; a sweep job's tasks fan out through the gate shared by all
-// sweep jobs (-sweep-workers slots).
+// sweep of one variant, bit-identical to running the spec by hand.
+// Every job's tasks, solo or sweep, fan out through one gate shared by
+// all jobs (-sweep-workers slots), so a solo job's replications, or
+// its v2 lanes split into one block per worker, run on every free
+// vCPU.
 //
 // Result storage lives in internal/store, tiered behind the
 // service.Cache seam: store.Memory is the in-proc LRU, store.Disk a
@@ -118,10 +119,11 @@
 // walk by exchangeability (homogeneous rules only; heterogeneous specs
 // stay on v1). Under v2 the agent and aggregate engines therefore
 // produce identical draw sequences (one population.BlockEngine serves
-// both). experiment.RunSweep executes v2 replications in blocks of
-// experiment.BlockLanes lanes through the StepBlock structure-of-arrays
-// kernels (one lane per block for a topology, whose blocks keep one v1
-// dynamics state per lane).
+// both). experiment.RunSweep executes v2 replications in blocks of up
+// to experiment.BlockLanes lanes, narrowed so that every worker gets a
+// block, through the StepBlock structure-of-arrays kernels (one lane
+// per block for a topology, whose blocks keep one v1 dynamics state per
+// lane).
 //
 // Choosing a version: v2 is the replication-heavy sweep contract —
 // small-to-moderate m with many replications is where the counts-based

@@ -23,7 +23,7 @@ func ParallelSummary(reps int, fn func(rep int) (float64, error)) (stats.Summary
 	}
 	values := make([]float64, reps)
 	errs := make([]error, reps)
-	claimAll(context.TODO(), int64(reps), 0, func() func(int64) {
+	claimAll(context.TODO(), int64(reps), runtime.GOMAXPROCS(0), func() func(int64) {
 		return func(rep int64) { values[rep], errs[rep] = fn(int(rep)) }
 	})
 	for rep := 0; rep < reps; rep++ {
@@ -35,15 +35,12 @@ func ParallelSummary(reps int, fn func(rep int) (float64, error)) (stats.Summary
 	return out, nil
 }
 
-// claimAll runs each index of [0, n) once on up to workers goroutines
-// (0 selects GOMAXPROCS), the caller's among them, each running what
-// its own newWorker call returns. Workers claim indices in ascending
-// order from one atomic cursor, with no feeder between tasks, and stop
-// claiming once ctx is done, leaving the unclaimed indices unrun.
+// claimAll runs each index of [0, n) once on up to workers goroutines,
+// the caller's among them, each running what its own newWorker call
+// returns. Workers claim indices in ascending order from one atomic
+// cursor, with no feeder between tasks, and stop claiming once ctx is
+// done, leaving the unclaimed indices unrun.
 func claimAll(ctx context.Context, n int64, workers int, newWorker func() func(i int64)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var cursor atomic.Int64
 	work := func() {
 		run := newWorker()

@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,10 +20,10 @@ import (
 // context checks for a sweep task whose variant does not set one.
 const defaultSweepCheckEvery = 2048
 
-// BlockLanes is the replication-block width used for draw_order v2
+// BlockLanes caps the replication-block width used for draw_order v2
 // variants: each task advances up to this many replications ("lanes")
 // together through one structure-of-arrays block group, where a v1
-// task advances one. The value is a scheduling/memory choice, not
+// task advances one. The width is a scheduling/memory choice, not
 // part of the v2 contract — every lane draws only from its own rng
 // stream, so any partition of a variant's replications into blocks
 // replays bit-identically (pinned by the chunk-invariance tests in
@@ -29,6 +31,9 @@ const defaultSweepCheckEvery = 2048
 // SoA state (O(lanes·m) plus one shared engine) small enough to stay
 // cache-resident for the paper's option counts while amortizing
 // per-step scheduling and engine-reuse overhead across many lanes.
+// RunSweep narrows a run's blocks to ⌈v2 lanes in the run ÷ workers⌉
+// lanes when that is fewer, so every worker gets a block: a solo
+// 32-lane variant on two workers runs as two 16-lane blocks.
 // Network families run width-1 blocks instead: having no block kernel,
 // they keep one dynamics state per lane, so a wide block would
 // multiply a run's memory by its width.
@@ -67,12 +72,13 @@ type SweepVariant struct {
 	// DrawOrder selects the variant's draw-order contract. "" and "v1"
 	// schedule one (variant, replication) task per replication, each
 	// seeded rng.SeedFor(Seed, rep) — the frozen v1 order, bit-identical
-	// to running the variant alone. "v2" schedules replication BLOCKS of
-	// up to BlockLanes lanes (one lane for network families), each lane
-	// seeded rng.StripeSeed(Seed, rep) with its own independent stream;
-	// results differ from v1 by design (distinct contract), but are
-	// invariant to block partitioning and worker count. Anything else
-	// is ErrBadOptions.
+	// to running the variant alone. "v2" schedules replication BLOCKS,
+	// each lane seeded rng.StripeSeed(Seed, rep) with its own
+	// independent stream, of one width for the whole run:
+	// min(BlockLanes, ⌈v2 lanes in the run ÷ workers⌉), or one lane for
+	// network families. Results differ from v1 by design (distinct
+	// contract), but are invariant to block partitioning and worker
+	// count. Anything else is ErrBadOptions.
 	DrawOrder string
 	// Trajectory, when non-nil, receives replication 0's row after
 	// every step — t, the group reward, then the popularity vector
@@ -128,12 +134,14 @@ type SweepCounters struct {
 type SweepOptions struct {
 	// Workers caps the number of concurrent tasks (replications, or
 	// replication blocks for v2 variants) of this sweep; 0 selects
-	// GOMAXPROCS. The calling goroutine is one of the workers.
+	// GOMAXPROCS. The calling goroutine is one of the workers, and the
+	// count sets the v2 block width (see BlockLanes).
 	Workers int
 	// Gate, when non-nil, is a shared buffered channel acquired (send)
 	// around each task's simulation work, bounding the AGGREGATE
 	// parallelism of every sweep sharing it: N concurrent RunSweep
 	// calls with one cap-C gate run at most C tasks at once, not N×C.
+	// A task that finds every slot taken waits for one, or for ctx.
 	Gate chan struct{}
 	// Counters, when non-nil, receives the sweep's task fan-out and
 	// engine-cache instrumentation.
@@ -173,26 +181,46 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 	if err != nil {
 		return nil, fmt.Errorf("experiment: sweep family: %w", err)
 	}
-	width := BlockLanes
+	if opt.Workers <= 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
+	var lanes int64 // v2 replications in the run, counted past 2³¹
+	for v := range variants {
+		if variants[v].Steps <= 0 {
+			return nil, fmt.Errorf("%w: variant %d steps=%d", ErrBadOptions, v, variants[v].Steps)
+		}
+		switch variants[v].DrawOrder {
+		case "", "v1":
+		case "v2":
+			lanes += int64(max(variants[v].Replications, 1))
+		default:
+			return nil, fmt.Errorf("%w: variant %d draw order %q", ErrBadOptions, v, variants[v].DrawOrder)
+		}
+	}
+	// One v2 block width for the run (see BlockLanes).
+	width := int(min(BlockLanes, (lanes+int64(opt.Workers)-1)/int64(opt.Workers)))
 	if proto.Network != nil {
 		width = 1
 	}
 	r := &sweepRun{ctx: ctx, tmpl: tmpl, variants: variants, opt: opt,
 		states: make([]variantState, len(variants)), bounds: make([]int64, len(variants)+1)}
+	spans := make(map[*span.Trace]int64) // task spans per trace
 	for v := range variants {
 		st := &r.states[v]
-		if variants[v].Steps <= 0 {
-			return nil, fmt.Errorf("%w: variant %d steps=%d", ErrBadOptions, v, variants[v].Steps)
-		}
 		st.reps, st.width = max(variants[v].Replications, 1), 1
-		switch variants[v].DrawOrder {
-		case "", "v1":
-		case "v2":
+		if variants[v].DrawOrder == "v2" {
 			st.width = width
-		default:
-			return nil, fmt.Errorf("%w: variant %d draw order %q", ErrBadOptions, v, variants[v].DrawOrder)
 		}
 		r.bounds[v+1] = r.bounds[v] + int64(st.reps-1)/int64(st.width) + 1
+		if tr := variants[v].Trace; tr != nil {
+			spans[tr] += r.bounds[v+1] - r.bounds[v]
+		}
+	}
+	// Grow each trace once for its task spans and the one span its
+	// caller records after the sweep (the serving layer's cache.put or
+	// cache.publish), instead of doubling as the spans arrive.
+	for tr, n := range spans {
+		tr.Reserve(int(min(n+1, math.MaxInt32)))
 	}
 
 	claimAll(ctx, r.bounds[len(variants)], opt.Workers, func() func(int64) {
@@ -374,8 +402,8 @@ type sweepWorker struct {
 // shapeKey identifies the engine shape a cached block can be Reset
 // into serving: variants differing only in seed, steps, or
 // replications share buffers. Width is part of the key: Reset keeps a
-// block's lane count, so a variant's tail block (fewer than BlockLanes
-// replications) never reuses the full-width block — at most one miss
+// block's lane count, so a variant's tail block (narrower than the
+// run's block width) never reuses the full-width block — at most one miss
 // per variant. So is the draw order: a one-lane v1 block and a
 // one-lane v2 block differ in engine and in lane seeding.
 type shapeKey struct {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,11 +182,12 @@ func TestRunSweepBadOptions(t *testing.T) {
 	}
 }
 
-// TestRunSweepClaimOrder runs one mixed v1/v2 sweep of 235 cheap tasks
+// TestRunSweepClaimOrder runs one mixed v1/v2 sweep of cheap tasks
 // through a shared gate at several worker counts. However the workers
 // interleave their claims, every count must reproduce the one-worker
 // results bit for bit, start each task exactly once, and return every
-// gate slot.
+// gate slot. The sweep's 106 v2 lanes run in BlockLanes-wide blocks at
+// 1–3 workers, 235 tasks, and in 7-lane blocks at 16, 246 tasks.
 func TestRunSweepClaimOrder(t *testing.T) {
 	t.Parallel()
 
@@ -197,9 +200,9 @@ func TestRunSweepClaimOrder(t *testing.T) {
 		{N: 50, Engine: core.EngineAgent, Steps: 4, Seed: 5, Replications: BlockLanes, DrawOrder: "v2"},
 		{N: 700, Steps: 3, Seed: 6, Replications: 5, DrawOrder: "v2"},
 	}
-	const tasks = 100 + 70 + 3 + 60 + 1 + 1
 	var want []SweepResult
 	for _, workers := range []int{1, 2, 3, 16} {
+		tasks := sweepTasks(variants, workers)
 		var ctrs SweepCounters
 		gate := make(chan struct{}, 2)
 		results, err := RunSweep(context.Background(), proto, variants,
@@ -222,24 +225,58 @@ func TestRunSweepClaimOrder(t *testing.T) {
 	}
 }
 
+// sweepTasks is the task count RunSweep schedules for variants on
+// workers: one task per v1 replication, and v2 blocks of
+// min(BlockLanes, ⌈v2 lanes ÷ workers⌉) lanes.
+func sweepTasks(variants []SweepVariant, workers int) uint64 {
+	lanes := 0
+	for _, v := range variants {
+		if v.DrawOrder == "v2" {
+			lanes += v.Replications
+		}
+	}
+	width := min(BlockLanes, (lanes+workers-1)/workers)
+	var tasks uint64
+	for _, v := range variants {
+		w := 1
+		if v.DrawOrder == "v2" {
+			w = width
+		}
+		tasks += uint64((v.Replications + w - 1) / w)
+	}
+	return tasks
+}
+
 // TestRunSweepCancelGiant cancels, after its first task, a sweep the
-// serving layer admits: 60 variants of 5·10⁷ one-step replications at
-// m = 2, 3·10⁹ tasks, more than a 32-bit int counts. Workers must stop
-// claiming at once, not run or fail the remaining tasks one by one, and
-// every variant must report the cancellation.
+// serving layer admits. Its first 60 variants are v2, 5·10⁷ one-step
+// lanes each at m = 2: 3·10⁹ lanes, which the block width must sum
+// past a 32-bit int, so the first task must still be a full
+// BlockLanes block. Then come 60 v1 variants of as many one-step
+// replications, 3·10⁹ tasks, more than a 32-bit int counts. Workers
+// must stop claiming at once, not run or fail the remaining tasks one
+// by one, and every variant must report the cancellation.
 func TestRunSweepCancelGiant(t *testing.T) {
 	t.Parallel()
 
 	proto := core.Config{Qualities: []float64{0.8, 0.4}, Beta: 0.65}
-	variants := make([]SweepVariant, 60)
+	variants := make([]SweepVariant, 120)
 	for v := range variants {
 		variants[v] = SweepVariant{N: 100, Steps: 1, Seed: uint64(v), Replications: 50_000_000}
+		if v < 60 {
+			variants[v].DrawOrder = "v2"
+		}
 	}
 	for _, workers := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ctrs SweepCounters
+		var narrow atomic.Int64 // lane count of a task narrower than BlockLanes
 		opt := SweepOptions{Workers: workers, Counters: &ctrs,
-			OnTask: func(int, int, time.Duration) { cancel() }}
+			OnTask: func(_, lanes int, _ time.Duration) {
+				if lanes != BlockLanes {
+					narrow.Store(int64(lanes))
+				}
+				cancel()
+			}}
 		done := make(chan struct{})
 		var results []SweepResult
 		var err error
@@ -258,6 +295,9 @@ func TestRunSweepCancelGiant(t *testing.T) {
 		}
 		if ctrs.Tasks.Load() < 1 {
 			t.Errorf("workers=%d: no task started", workers)
+		}
+		if n := narrow.Load(); n != 0 {
+			t.Errorf("workers=%d: a v2 task ran %d lanes, want %d", workers, n, BlockLanes)
 		}
 		for v, res := range results {
 			if !errors.Is(res.Err, context.Canceled) {
@@ -387,36 +427,61 @@ func TestRunSweepV2BlockScheduling(t *testing.T) {
 	}
 }
 
-// TestRunSweepNetworkBlockWidth pins the v2 block width per family: a
-// network family runs one lane per block (its blocks keep one dynamics
-// state per lane, so width multiplies memory), every other family
-// BlockLanes lanes — visible as the task count.
+// TestRunSweepNetworkBlockWidth pins the v2 block width, visible as
+// the tasks and their lane counts. A network family runs one lane per
+// block (its blocks keep one dynamics state per lane, so width
+// multiplies memory). Every other family runs blocks of
+// min(BlockLanes, ⌈v2 lanes in the run ÷ workers⌉) lanes, so a solo
+// variant splits across the workers while a sweep whose variants
+// already give every worker a block keeps one block per variant.
 func TestRunSweepNetworkBlockWidth(t *testing.T) {
 	t.Parallel()
 
-	const reps = 5
 	plain := core.Config{Qualities: []float64{0.8, 0.4}, Beta: 0.65}
 	ring := plain
 	ring.Network = ringGraph(t, 16)
+	v := SweepVariant{N: 100, Steps: 30, Seed: 3, Replications: 5, DrawOrder: "v2"}
+	eight := []SweepVariant{v, v}
+	eight[0].Replications, eight[1].Replications, eight[1].Seed = 8, 8, 4
 	for _, tc := range []struct {
-		name  string
-		proto core.Config
-		tasks uint64
+		name     string
+		proto    core.Config
+		variants []SweepVariant
+		workers  int
+		lanes    []int // lane count of each task, in task order
 	}{
-		{"plain", plain, (reps + BlockLanes - 1) / BlockLanes},
-		{"ring", ring, reps},
+		{"plain/1 worker", plain, []SweepVariant{v}, 1, []int{5}},
+		{"plain/2 workers", plain, []SweepVariant{v}, 2, []int{3, 2}},
+		{"ring/1 worker", ring, []SweepVariant{v}, 1, []int{1, 1, 1, 1, 1}},
+		{"ring/2 workers", ring, []SweepVariant{v}, 2, []int{1, 1, 1, 1, 1}},
+		{"two 8-lane variants/2 workers", plain, eight, 2, []int{8, 8}},
 	} {
 		var ctrs SweepCounters
-		v := SweepVariant{N: 100, Steps: 30, Seed: 3, Replications: reps, DrawOrder: "v2"}
-		results, err := RunSweep(context.Background(), tc.proto, []SweepVariant{v},
-			SweepOptions{Workers: 1, Counters: &ctrs})
+		var mu sync.Mutex
+		lanes := map[int][]int{} // per variant, in finishing order
+		results, err := RunSweep(context.Background(), tc.proto, tc.variants,
+			SweepOptions{Workers: tc.workers, Counters: &ctrs, OnTask: func(v, n int, _ time.Duration) {
+				mu.Lock()
+				lanes[v] = append(lanes[v], n)
+				mu.Unlock()
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ctrs.Tasks.Load(); got != tc.tasks {
-			t.Errorf("%s: %d tasks for %d v2 replications, want %d", tc.name, got, reps, tc.tasks)
+		if got := ctrs.Tasks.Load(); got != uint64(len(tc.lanes)) {
+			t.Errorf("%s: %d tasks, want %d", tc.name, got, len(tc.lanes))
 		}
-		assertSweepResultEqual(t, tc.name, results[0], serialVariantV2(t, tc.proto, v))
+		var got []int
+		for v := range tc.variants {
+			sort.Sort(sort.Reverse(sort.IntSlice(lanes[v])))
+			got = append(got, lanes[v]...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.lanes) {
+			t.Errorf("%s: task lanes %v, want %v", tc.name, got, tc.lanes)
+		}
+		for i, v := range tc.variants {
+			assertSweepResultEqual(t, fmt.Sprintf("%s variant %d", tc.name, i), results[i], serialVariantV2(t, tc.proto, v))
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // passed no hint: a cache hit's three spans (root, validate, cache.get)
 // plus a miss's admission. A hit therefore fits without growing; a
 // single-replication miss records 8 spans and an 8-replication v1 miss
-// 15, so Trace.Start grows their arrays by append, and a sweep pays
-// only the doublings its span count needs.
+// 15, so Trace.Start grows their arrays by append until the run
+// reserves its task spans in one step (Trace.Reserve).
 const defaultSpanCap = 4
 
 // Recorder retains the last N sealed traces in a lock-free ring and

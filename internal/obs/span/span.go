@@ -13,7 +13,8 @@
 // a trace allocates in proportion to the spans it records: about 1 KB
 // for a hit, a few KB for a simulate miss. End and SetAttr never
 // allocate, and Start allocates only when it grows the array, which a
-// creator that passes its span count as the capacity hint avoids.
+// creator that passes its span count as the capacity hint, or reserves
+// room for the spans it will record, avoids.
 // Exporting — Export's JSON tree, the recorder ring's snapshots — is
 // the cold path and runs only against sealed traces, which are
 // immutable, so readers never contend with writers.
@@ -149,6 +150,23 @@ func (t *Trace) Start(name string, parent ID) ID {
 	return ID(len(t.spans) - 1)
 }
 
+// Reserve makes room for n more spans, up to the span cap, by growing
+// the array at most once, so a caller that learns its span count after
+// the trace started (a sweep, once it has counted its tasks) records
+// them without the repeated doublings of Start. No-op on a nil or
+// sealed trace, or when the room is already there.
+func (t *Trace) Reserve(n int) {
+	if t == nil || n <= 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	want := len(t.spans) + min(n, maxSpans-len(t.spans))
+	if !t.sealed.Load() && want > cap(t.spans) {
+		t.spans = append(make([]Span, 0, want), t.spans...)
+	}
+}
+
 // End closes the span. No-op for None, a nil trace, or a sealed trace.
 func (t *Trace) End(id ID) {
 	if t == nil || id < 0 {
@@ -221,8 +239,8 @@ func (t *Trace) seal() {
 		}
 	}
 	// Right-size before the ring retains the trace when more than 16
-	// slots sit unused (a large sweep's last doubling, or a capacity
-	// hint that overshot), so the ring does not pin them for the
+	// slots sit unused (a trace's last doubling, or a capacity hint or
+	// reservation that overshot), so the ring does not pin them for the
 	// trace's lifetime there. Smaller slack costs less to keep than to
 	// copy.
 	if cap(t.spans) > len(t.spans)+16 {

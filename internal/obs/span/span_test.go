@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -76,6 +77,7 @@ func TestNilTraceAndRecorderAreNoOps(t *testing.T) {
 	tr.End(id)
 	tr.SetAttr(id, "k", 1)
 	tr.SetAttrStr(id, "k", "v")
+	tr.Reserve(8)
 	tr.Retain()
 	tr.Release()
 	if tr.Sealed() || tr.Export() != nil || tr.RequestID() != "" {
@@ -115,6 +117,49 @@ func TestSealedTraceRejectsWrites(t *testing.T) {
 	}
 	if len(after.Root.Children[0].Attrs) != 0 {
 		t.Fatal("attr written after seal")
+	}
+}
+
+// TestReserveAllocs pins Reserve: after Reserve(n), n Start calls
+// record without allocating, where a trace grown by Start alone doubles
+// its array each time it fills. Reserve stops at the span cap and is a
+// no-op once the room is there or the trace is sealed.
+func TestReserveAllocs(t *testing.T) {
+	const runs, n = 20, 128
+	rec := NewRecorder(1)
+	traces := make([]*Trace, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range traces {
+		traces[i] = rec.Start("r", "root", 0)
+		traces[i].Start("before", Root)
+		traces[i].Reserve(n)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		tr := traces[next]
+		next++
+		for range n {
+			tr.End(tr.Start("task", Root))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per %d Start calls after Reserve(%d), want 0", allocs, n, n)
+	}
+
+	tr := rec.Start("r", "root", 0)
+	tr.Reserve(n)
+	tr.Reserve(n - 1)
+	if cap(tr.spans) != 1+n {
+		t.Errorf("Reserve(%d) then Reserve(%d): cap %d, want %d", n, n-1, cap(tr.spans), 1+n)
+	}
+	tr.Reserve(math.MaxInt)
+	if cap(tr.spans) != maxSpans {
+		t.Errorf("Reserve(MaxInt): cap %d, want the span cap %d", cap(tr.spans), maxSpans)
+	}
+	sealed := rec.Start("r", "root", 0)
+	sealed.Release()
+	sealed.Reserve(n)
+	if cap(sealed.spans) != defaultSpanCap {
+		t.Errorf("Reserve on a sealed trace grew it to cap %d", cap(sealed.spans))
 	}
 }
 

@@ -360,14 +360,14 @@ type SchedulerConfig struct {
 	// and a job that hits it finishes as JobFailed with ErrJobTimeout.
 	// Zero means no server-side time limit.
 	JobTimeout time.Duration
-	// SweepWorkers caps the sweep tasks running at once across all
-	// sweep jobs: every executing sweep job shares one gate of this
-	// many slots, so total sweep-task parallelism is SweepWorkers —
-	// not Workers × SweepWorkers — and total simulation parallelism
-	// stays within Workers + SweepWorkers (a worker driving a sweep
-	// job is one of its SweepWorkers workers and computes only while
-	// it holds a gate slot, and a single-spec job runs on its worker
-	// outside the gate).
+	// SweepWorkers caps the simulation tasks running at once across
+	// all jobs: every running job, solo or sweep, fans its tasks (v1
+	// replications, v2 replication blocks) out to this many workers,
+	// its own worker among them, through one shared gate of this many
+	// slots, and a task computes only while it holds a slot. Total
+	// simulation parallelism is therefore SweepWorkers, not
+	// Workers + SweepWorkers, and a job that finds every slot taken
+	// waits for the next free one while its JobTimeout runs.
 	// 0 defaults to Workers.
 	SweepWorkers int
 	// MaxCost, when positive, is each worker's share of the wall-clock
@@ -436,8 +436,8 @@ type ClassStats struct {
 // interactive job, else the oldest batch job.
 type Scheduler struct {
 	cfg SchedulerConfig
-	// sweepGate bounds aggregate sweep-task parallelism across every
-	// concurrently executing sweep job (see SchedulerConfig.SweepWorkers).
+	// sweepGate bounds aggregate task parallelism across every running
+	// job, solo or sweep (see SchedulerConfig.SweepWorkers).
 	sweepGate chan struct{}
 
 	// mu guards admission, the queues, the job table and closed; ready
@@ -909,11 +909,10 @@ func (s *Scheduler) settle(job *Job, reports []*Report, err error) {
 // run executes one job through a single experiment.RunSweep call. The
 // job is marked running, opens its run span, starts its JobTimeout
 // clock and passes the sched.run fault seam before its first step.
-// The job kind decides only the variant list, the family config and
-// the fan-out: a single spec is one variant whose replications run
-// serially on this worker, outside the sweep gate; a sweep job's
-// tasks fan out through the shared gate to this worker and
-// SweepWorkers−1 goroutines.
+// The job kind decides only the variant list and the family config: a
+// single spec is one variant, a sweep one per member. Either way the
+// job's tasks fan out through the shared gate to this worker and up to
+// SweepWorkers−1 goroutines; a one-task job starts none.
 func (s *Scheduler) run(job *Job) {
 	if !s.dequeue(job) {
 		return
@@ -927,7 +926,7 @@ func (s *Scheduler) run(job *Job) {
 		return
 	}
 	specs, hashes := []Spec{job.spec}, []string{job.hash}
-	opt := experiment.SweepOptions{Workers: 1, Counters: &s.sweepCtrs}
+	opt := experiment.SweepOptions{Workers: s.cfg.SweepWorkers, Gate: s.sweepGate, Counters: &s.sweepCtrs}
 	var proto core.Config
 	var err error
 	if sw := job.sweep; sw != nil {
@@ -937,7 +936,6 @@ func (s *Scheduler) run(job *Job) {
 			specs[i] = sw.variantSpec(i)
 		}
 		proto = sw.familyConfig()
-		opt.Workers, opt.Gate = s.cfg.SweepWorkers, s.sweepGate
 	} else {
 		s.metrics.soloJobs.Inc()
 		// Cannot fail for a validated spec; a failure fails the job.

@@ -562,20 +562,64 @@ func TestNewSchedulerRejectsNegativeTimeout(t *testing.T) {
 	}
 }
 
-// TestSoloJobBypassesSweepGate pins that a job running alone never
-// waits for the sweep gate: with every gate slot held, a solo job
-// still runs to completion on its shard worker.
-func TestSoloJobBypassesSweepGate(t *testing.T) {
+// TestSoloJobFansOut pins that a solo job's replications fan out
+// through the sweep gate like a sweep's tasks: on one worker with two
+// gate slots, a two-replication job holds both slots at once.
+func TestSoloJobFansOut(t *testing.T) {
 	t.Parallel()
 
-	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 1})
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 2})
+	spec := validSpec()
+	spec.Steps, spec.Replications = 20_000_000, 2 // seconds per replication
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Cancel()
+	for deadline := time.Now().Add(10 * time.Second); len(s.sweepGate) != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("solo job with 2 replications holds %d of 2 gate slots (status %s)", len(s.sweepGate), job.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	job.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := job.Wait(ctx); err != nil || job.Status() != JobCanceled {
+		t.Fatalf("status %s after cancel (wait: %v), want canceled", job.Status(), err)
+	}
+}
+
+// TestSoloJobWaitsForGateSlot pins that a solo job computes only while
+// it holds a gate slot: with every slot taken it waits, and its
+// JobTimeout runs while it does; once a slot is free, solo jobs run.
+func TestSoloJobWaitsForGateSlot(t *testing.T) {
+	t.Parallel()
+
+	s := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 1,
+		JobTimeout: 100 * time.Millisecond})
 	s.sweepGate <- struct{}{}
-	defer func() { <-s.sweepGate }()
 	job, err := s.Submit(validSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, "solo job with the sweep gate full", job)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := job.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if job.Status() != JobFailed || !errors.Is(job.Err(), ErrJobTimeout) {
+		t.Errorf("solo job with every gate slot held: status %s, err %v; want failed with ErrJobTimeout",
+			job.Status(), job.Err())
+	}
+	<-s.sweepGate
+	spec := validSpec()
+	spec.Seed = 43
+	job, err = s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, "solo job after the slot was released", job)
 }
 
 // TestQueuedSoloJobsPassRunSeam pins that every single-spec job passes
