@@ -253,9 +253,8 @@ func BenchmarkSweep(b *testing.B) {
 	)
 	newServer := func() *httptest.Server {
 		sched, err := service.NewScheduler(service.SchedulerConfig{
-			Workers:      workers,
-			QueueDepth:   2 * nVariants,
-			SweepWorkers: workers,
+			Workers:    workers,
+			QueueDepth: 2 * nVariants,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -601,6 +600,15 @@ func BenchmarkStoreTiers(b *testing.B) {
 		return job.Report()
 	}
 	report := compute(spec.Seed)
+	// warm stores report under key through the cache's miss path.
+	warm := func(c *service.Cache, key string) {
+		b.Helper()
+		if _, _, err := c.Do(context.Background(), key, func() (*service.Report, error) {
+			return report, nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
 
 	// Baseline: the pre-change shape — service.Cache over the in-proc
 	// LRU — warmed with the report.
@@ -608,7 +616,7 @@ func BenchmarkStoreTiers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lruCache.Put(hash, report)
+	warm(lruCache, hash)
 
 	newTieredCache := func(memCapacity int) *service.Cache {
 		b.Helper()
@@ -631,7 +639,7 @@ func BenchmarkStoreTiers(b *testing.B) {
 	// Hot regime: tiered cache with the key resident in the memory
 	// front.
 	hotCache := newTieredCache(1024)
-	hotCache.Put(hash, report)
+	warm(hotCache, hash)
 
 	// Cold regime: memory front of one slot with two alternating keys,
 	// so every Get reads through to the disk segment log (each
@@ -639,8 +647,8 @@ func BenchmarkStoreTiers(b *testing.B) {
 	// spills so both records are on disk before timing.
 	coldCache := newTieredCache(1)
 	coldKeys := [2]string{hash + "-cold0", hash + "-cold1"}
-	coldCache.Put(coldKeys[0], report)
-	coldCache.Put(coldKeys[1], report)
+	warm(coldCache, coldKeys[0])
+	warm(coldCache, coldKeys[1])
 	deadline := time.Now().Add(10 * time.Second)
 	for coldCache.Stats().Tiers.Spills < 2 {
 		if time.Now().After(deadline) {

@@ -1,9 +1,9 @@
 // Command reprod is the simulation-serving daemon: it exposes the
 // library through internal/service's HTTP API with a bounded job
 // scheduler (one queue per priority class, which every -workers
-// worker takes from), a batched sweep engine (POST /v1/sweep) whose
-// gate of -sweep-workers slots the replications of every job, solo or
-// sweep, share, and a tiered result store — an in-memory LRU front
+// worker takes from), a batched sweep engine (POST /v1/sweep), a gate
+// of -workers slots that the replications of every job, solo or sweep,
+// share, and a tiered result store — an in-memory LRU front
 // and, with -store-dir set, a crash-safe on-disk segment log behind
 // it, so computed results survive restarts and the server warm-starts
 // answering previously computed specs "cached":true. It shuts down
@@ -87,12 +87,11 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	fs.SetOutput(logw)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
-		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines executing jobs")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "jobs running at once, and simulation tasks computing at once across all jobs (also scales -queue and -max-cost)")
 		queue      = fs.Int("queue", 64, "queued jobs per worker: admission control sheds load once workers × queue jobs wait")
 		cache      = fs.Int("cache", 1024, "cached reports (0 disables storage, keeps single-flight)")
 		retain     = fs.Int("retain", 1024, "finished jobs kept queryable")
 		jobTime    = fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock limit once running (0 disables)")
-		sweepW     = fs.Int("sweep-workers", 0, "simulation tasks running at once across all jobs, solo and sweep (0 = workers)")
 		drainFor   = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
 		drainGrace = fs.Duration("drain-grace", 0, "pause between failing readiness (/readyz 503) and closing listeners, so load balancers stop routing first")
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -237,7 +236,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		QueueDepth:     *queue,
 		RetainJobs:     *retain,
 		JobTimeout:     *jobTime,
-		SweepWorkers:   *sweepW,
 		MaxCost:        *maxCost,
 		StaleCostAfter: *staleCost,
 		Metrics:        reg,

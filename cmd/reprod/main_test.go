@@ -115,12 +115,12 @@ func TestDaemonServesSimulate(t *testing.T) {
 }
 
 // TestDaemonServesSweep drives POST /v1/sweep through the daemon with
-// the sweep flag set, and checks the sweep counters surface in
-// /statsz.
+// -workers set, and checks the sweep counter and the worker count
+// surface in /statsz.
 func TestDaemonServesSweep(t *testing.T) {
 	t.Parallel()
 
-	base, _ := startDaemon(t, "-sweep-workers", "2")
+	base, _ := startDaemon(t, "-workers", "2")
 	body := `{
 		"family": {"qualities": [0.9, 0.5, 0.5], "beta": 0.7},
 		"variants": [
@@ -171,16 +171,16 @@ func TestDaemonServesSweep(t *testing.T) {
 	}
 	var stats struct {
 		Scheduler struct {
-			Sweeps       uint64 `json:"sweeps"`
-			SweepWorkers int    `json:"sweep_workers"`
+			Sweeps  uint64 `json:"sweeps"`
+			Workers int    `json:"workers"`
 		} `json:"scheduler"`
 	}
 	if err := json.Unmarshal(sraw, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Scheduler.Sweeps != 1 || stats.Scheduler.SweepWorkers != 2 {
-		t.Errorf("statsz sweeps=%d sweep_workers=%d, want 1 and 2 (%s)",
-			stats.Scheduler.Sweeps, stats.Scheduler.SweepWorkers, sraw)
+	if stats.Scheduler.Sweeps != 1 || stats.Scheduler.Workers != 2 {
+		t.Errorf("statsz sweeps=%d workers=%d, want 1 and 2 (%s)",
+			stats.Scheduler.Sweeps, stats.Scheduler.Workers, sraw)
 	}
 }
 
@@ -274,6 +274,10 @@ func TestDaemonFlagValidation(t *testing.T) {
 	// the flag, rather than quietly rounded up.
 	refused("-trace-ring", "0", "-trace-ring")
 	refused("-trace-ring", "-1", "-trace-ring")
+
+	// -workers is the one parallelism flag; the task-gate flag it
+	// replaced is refused, not ignored.
+	refused("-sweep-workers", "2", "-sweep-workers")
 }
 
 // TestDaemonRestartDurability is the acceptance scenario for the

@@ -35,7 +35,7 @@
 // sched.run fault seam and makes one RunSweep call. A single spec is a
 // sweep of one variant, bit-identical to running the spec by hand.
 // Every job's tasks, solo or sweep, fan out through one gate shared by
-// all jobs (-sweep-workers slots), so a solo job's replications, or
+// all jobs (-workers slots), so a solo job's replications, or
 // its v2 lanes split into one block per worker, run on every free
 // vCPU.
 //

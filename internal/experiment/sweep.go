@@ -16,10 +16,6 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultSweepCheckEvery is the fallback number of steps between
-// context checks for a sweep task whose variant does not set one.
-const defaultSweepCheckEvery = 2048
-
 // BlockLanes caps the replication-block width used for draw_order v2
 // variants: each task advances up to this many replications ("lanes")
 // together through one structure-of-arrays block group, where a v1
@@ -56,19 +52,6 @@ type SweepVariant struct {
 	Replications int
 	// Seed is the variant's base seed.
 	Seed uint64
-	// CheckEvery is the number of steps between context-cancellation
-	// checks (0 selects a default). Callers running expensive per-step
-	// variants (large agent populations) should scale this down so
-	// cancellation latency stays bounded in wall-clock terms.
-	CheckEvery int
-	// Trace, when non-nil, records one span per task of this variant —
-	// "replication" for a v1 replication, "replication.block" for a v2
-	// replication block — nested under Span. Every span call is safe on
-	// a nil Trace, so untraced sweeps pay only nil checks.
-	Trace *span.Trace
-	// Span is the parent span the variant's task spans nest under
-	// (meaningful only with a non-nil Trace).
-	Span span.ID
 	// DrawOrder selects the variant's draw-order contract. "" and "v1"
 	// schedule one (variant, replication) task per replication, each
 	// seeded rng.SeedFor(Seed, rep) — the frozen v1 order, bit-identical
@@ -117,9 +100,8 @@ type SweepResult struct {
 // layer reads them into its metrics registry at scrape time.
 type SweepCounters struct {
 	// Tasks counts scheduler tasks that actually began executing
-	// (acquired the gate and passed the context checks): one per
-	// replication for v1 variants, one per replication BLOCK for v2
-	// variants.
+	// (acquired the gate before ctx was done): one per replication for
+	// v1 variants, one per replication BLOCK for v2 variants.
 	Tasks atomic.Uint64
 	// EngineReuses counts tasks served by Reset-ing the worker's
 	// cached engine; EngineBuilds counts tasks that built a fresh one.
@@ -130,7 +112,8 @@ type SweepCounters struct {
 	EngineBuilds atomic.Uint64
 }
 
-// SweepOptions bounds the sweep's fan-out.
+// SweepOptions bounds the sweep's fan-out and carries its
+// instrumentation: counters, task timings and span trace.
 type SweepOptions struct {
 	// Workers caps the number of concurrent tasks (replications, or
 	// replication blocks for v2 variants) of this sweep; 0 selects
@@ -154,6 +137,14 @@ type SweepOptions struct {
 	// layer folds these into its per-(engine, draw_order) step-cost
 	// estimates.
 	OnTask func(variant, lanes int, elapsed time.Duration)
+	// Trace, when non-nil, records one span per task — "replication"
+	// for a v1 replication, "replication.block" for a v2 replication
+	// block — nested under Span. Every span call is safe on a nil
+	// Trace, so untraced sweeps pay only nil checks.
+	Trace *span.Trace
+	// Span is the parent span the task spans nest under (meaningful
+	// only with a non-nil Trace).
+	Span span.ID
 }
 
 // RunSweep executes every variant of a shared-family sweep with
@@ -166,7 +157,8 @@ type SweepOptions struct {
 // Per-variant failures, context cancellation included, are reported
 // in the corresponding SweepResult.Err; RunSweep itself errors only on
 // invalid options or an invalid family. Once ctx is done no task
-// starts, so a canceled sweep returns when its running tasks have.
+// starts and every running task stops at its next step, so a canceled
+// sweep returns within about one step of its costliest running task.
 func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, opt SweepOptions) ([]SweepResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("%w: empty sweep", ErrBadOptions)
@@ -204,7 +196,6 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 	}
 	r := &sweepRun{ctx: ctx, tmpl: tmpl, variants: variants, opt: opt,
 		states: make([]variantState, len(variants)), bounds: make([]int64, len(variants)+1)}
-	spans := make(map[*span.Trace]int64) // task spans per trace
 	for v := range variants {
 		st := &r.states[v]
 		st.reps, st.width = max(variants[v].Replications, 1), 1
@@ -212,18 +203,18 @@ func RunSweep(ctx context.Context, proto core.Config, variants []SweepVariant, o
 			st.width = width
 		}
 		r.bounds[v+1] = r.bounds[v] + int64(st.reps-1)/int64(st.width) + 1
-		if tr := variants[v].Trace; tr != nil {
-			spans[tr] += r.bounds[v+1] - r.bounds[v]
-		}
 	}
-	// Grow each trace once for its task spans and the one span its
+	tasks := r.bounds[len(variants)]
+	// Grow the trace once for the task spans and the one span its
 	// caller records after the sweep (the serving layer's cache.put or
 	// cache.publish), instead of doubling as the spans arrive.
-	for tr, n := range spans {
-		tr.Reserve(int(min(n+1, math.MaxInt32)))
-	}
+	opt.Trace.Reserve(int(min(tasks+1, math.MaxInt32)))
+	// Running tasks read this flag before each step: a ctx.Err() there
+	// would take the context's mutex, which all of a job's tasks share.
+	stop := context.AfterFunc(ctx, func() { r.stopped.Store(true) })
+	defer stop()
 
-	claimAll(ctx, r.bounds[len(variants)], opt.Workers, func() func(int64) {
+	claimAll(ctx, tasks, opt.Workers, func() func(int64) {
 		var w sweepWorker
 		return func(i int64) { r.run(&w, r.task(i)) }
 	})
@@ -247,7 +238,8 @@ type sweepRun struct {
 	variants []SweepVariant
 	opt      SweepOptions
 	states   []variantState
-	bounds   []int64 // variant v's tasks are [bounds[v], bounds[v+1]), counted past 2³¹
+	bounds   []int64     // variant v's tasks are [bounds[v], bounds[v+1]), counted past 2³¹
+	stopped  atomic.Bool // set once ctx is done; running tasks stop at their next step
 }
 
 // task is one replication block of variant v, covering replications
@@ -284,10 +276,11 @@ func (r *sweepRun) run(w *sweepWorker, tk task) {
 	if v2 {
 		name = "replication.block"
 	}
-	sid := v.Trace.Start(name, v.Span)
-	v.Trace.SetAttr(sid, "replication", int64(tk.rep))
+	tr := r.opt.Trace
+	sid := tr.Start(name, r.opt.Span)
+	tr.SetAttr(sid, "replication", int64(tk.rep))
 	if v2 {
-		v.Trace.SetAttr(sid, "lanes", int64(tk.lanes))
+		tr.SetAttr(sid, "lanes", int64(tk.lanes))
 	}
 	var t0 time.Time
 	if r.opt.OnTask != nil {
@@ -295,7 +288,7 @@ func (r *sweepRun) run(w *sweepWorker, tk task) {
 	}
 	err := r.runBlock(w, v, st, tk.rep, tk.lanes)
 	elapsed := time.Since(t0)
-	v.Trace.End(sid)
+	tr.End(sid)
 	if r.opt.Gate != nil {
 		<-r.opt.Gate
 	}
@@ -327,24 +320,17 @@ func acquireGate(ctx context.Context, gate chan struct{}) error {
 }
 
 // runBlock runs one task — lanes replications [lane0, lane0+lanes) of
-// v — and folds each lane into the merge. A block step advances every
-// lane, so the context check interval shrinks by the lane count to
-// keep cancellation latency comparable in simulated work.
+// v — and folds each lane into the merge. Once ctx is done it stops at
+// its next step.
 func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, lane0, lanes int) error {
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
 	g, err := w.block(r.tmpl, v, lane0, lanes, r.opt.Counters)
 	if err != nil {
 		return fmt.Errorf("experiment: sweep replication %d: %w", lane0, err)
 	}
 	rec, row := trajectory(v, lane0, g.Options())
-	every := checkEvery(v, lanes)
 	for t := 1; t <= v.Steps; t++ {
-		if t%every == 0 {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
+		if r.stopped.Load() {
+			return r.ctx.Err()
 		}
 		if err := g.StepBlock(); err != nil {
 			return fmt.Errorf("experiment: sweep step %d: %w", t, err)
@@ -361,16 +347,6 @@ func (r *sweepRun) runBlock(w *sweepWorker, v *SweepVariant, st *variantState, l
 		st.add(lane0+k, g.CumulativeGroupReward(k)/float64(v.Steps), g.BestQuality(), w.pop)
 	}
 	return nil
-}
-
-// checkEvery is v's context-check interval in steps of a task
-// advancing lanes replications together.
-func checkEvery(v *SweepVariant, lanes int) int {
-	every := v.CheckEvery
-	if every <= 0 {
-		every = defaultSweepCheckEvery
-	}
-	return max(every/lanes, 1)
 }
 
 // trajectory returns v's recorder and a row buffer (len 2, cap 2+m, so

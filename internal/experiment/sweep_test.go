@@ -307,6 +307,56 @@ func TestRunSweepCancelGiant(t *testing.T) {
 	}
 }
 
+// TestRunSweepCancelStopsRunningTask cancels a sweep once its one task
+// has begun: a v1 agent replication at N = 10⁶, milliseconds a step.
+// The running task must stop at its next step, so RunSweep returns
+// long before the 2,048 steps a fixed context-check interval let such
+// a task run between checks.
+func TestRunSweepCancelStopsRunningTask(t *testing.T) {
+	t.Parallel()
+
+	proto := core.Config{Qualities: []float64{0.9, 0.5, 0.5}, Beta: 0.7}
+	variants := []SweepVariant{{N: 1_000_000, Engine: core.EngineAgent, Steps: 4_000, Seed: 1}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ctrs SweepCounters
+	type outcome struct {
+		results []SweepResult
+		err     error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		results, err := RunSweep(ctx, proto, variants, SweepOptions{Workers: 1, Counters: &ctrs})
+		done <- outcome{results, err}
+	}()
+	for ctrs.Tasks.Load() == 0 {
+		select {
+		case out := <-done:
+			t.Fatalf("RunSweep returned before its task began: %v", out.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	start := time.Now()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("RunSweep still running 60 s after it was canceled")
+	}
+	// One step takes a few milliseconds (tens under -race); 2,048 of
+	// them take seconds.
+	if latency := time.Since(start); latency > time.Second {
+		t.Errorf("RunSweep returned %s after cancel, want under 1s", latency)
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !errors.Is(out.results[0].Err, context.Canceled) {
+		t.Errorf("Err = %v, want context.Canceled", out.results[0].Err)
+	}
+}
+
 // serialVariantV2 is the unbatched v2 reference: one single-lane block
 // group per replication (lane0 = rep, the narrowest legal partition),
 // merged in replication order. The block scheduler must match it bit

@@ -111,11 +111,6 @@ func NewCacheWithStore(backend store.Store[*Report]) (*Cache, error) {
 	}, nil
 }
 
-// Get returns the stored report for key, bumping its recency.
-func (c *Cache) Get(key string) (*Report, bool) {
-	return c.backend.Get(key)
-}
-
 // claim resolves key to a stored report, or to its in-flight
 // computation and whether this caller leads it (and must publish it),
 // counting the call as a hit, join or miss. The backend is read
@@ -283,24 +278,6 @@ func (c *Cache) Acquire(key string) (report *Report, publish func(*Report, error
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// Put stores a report computed outside a Do flight (the sweep path
-// fills each variant's single-spec cache entry this way, so later
-// /v1/simulate requests for the same spec hit — including, with a
-// persistent backend, after a restart).
-func (c *Cache) Put(key string, report *Report) {
-	if report == nil {
-		return
-	}
-	c.mu.Lock()
-	c.backend.Put(key, report)
-	c.mu.Unlock()
-}
-
-// Len returns the number of stored reports.
-func (c *Cache) Len() int {
-	return c.backend.Len()
 }
 
 // Stats snapshots the counters.

@@ -122,7 +122,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 	if _, _, err := c.Do(context.Background(), "k", func() (*Report, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Do error = %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Error("failed result stored")
 	}
 	// The key retries after a failure.
@@ -137,7 +137,11 @@ func TestCacheErrorNotStored(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	t.Parallel()
 
-	c, err := NewCache(2)
+	mem, err := store.NewMemory[*Report](2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCacheWithStore(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +155,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	mk("a")
 	mk("b")
-	if _, ok := c.Get("a"); !ok { // bump a → b is now LRU
+	if _, ok := mem.Get("a"); !ok { // bump a → b is now LRU
 		t.Fatal("a missing")
 	}
 	mk("c") // evicts b
-	if _, ok := c.Get("b"); ok {
+	if _, ok := mem.Get("b"); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := mem.Get("a"); !ok {
 		t.Error("recently used a evicted")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := mem.Get("c"); !ok {
 		t.Error("new c missing")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Size != 2 {
@@ -189,8 +193,8 @@ func TestCacheZeroCapacity(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("capacity 0 cached: %d calls, want 2", calls)
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
+	if size := c.Stats().Size; size != 0 {
+		t.Errorf("Size = %d, want 0", size)
 	}
 }
 
@@ -222,11 +226,13 @@ func TestCacheWaiterContext(t *testing.T) {
 	}
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Len() == 0 && time.Now().Before(deadline) {
+	for c.Stats().Size == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if report, ok := c.Get("slow"); !ok || report == nil {
-		t.Error("abandoned computation did not populate the cache")
+	if report, cached, err := c.Do(context.Background(), "slow", func() (*Report, error) {
+		return nil, fmt.Errorf("must not run")
+	}); err != nil || !cached || report == nil {
+		t.Errorf("abandoned computation did not populate the cache: report=%v cached=%v err=%v", report, cached, err)
 	}
 }
 
@@ -364,7 +370,9 @@ func (h *hookStore) Get(key string) (*Report, bool) {
 	return r, ok
 }
 
-func newHookCache(t *testing.T, onGet func(key string)) *Cache {
+// newHookCache returns a cache over a hookStore and the memory store
+// behind it, which a test may seed without running onGet.
+func newHookCache(t *testing.T, onGet func(key string)) (*Cache, store.Store[*Report]) {
 	t.Helper()
 	mem, err := store.NewMemory[*Report](8)
 	if err != nil {
@@ -374,7 +382,7 @@ func newHookCache(t *testing.T, onGet func(key string)) *Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, mem
 }
 
 // TestCacheSlowReadDoesNotBlockLookups stalls the store read of one
@@ -384,13 +392,13 @@ func TestCacheSlowReadDoesNotBlockLookups(t *testing.T) {
 	t.Parallel()
 	stall, stalled := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	c := newHookCache(t, func(key string) {
+	c, mem := newHookCache(t, func(key string) {
 		if key == "slow" {
 			once.Do(func() { close(stalled) })
 			<-stall
 		}
 	})
-	c.Put("fast", &Report{SpecHash: "fast"})
+	mem.Put("fast", &Report{SpecHash: "fast"})
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
@@ -431,7 +439,7 @@ func TestCacheMissRacingPublishComputesOnce(t *testing.T) {
 	}
 	var c *Cache
 	var raced atomic.Bool
-	c = newHookCache(t, func(key string) {
+	c, _ = newHookCache(t, func(key string) {
 		if !raced.CompareAndSwap(false, true) {
 			return
 		}

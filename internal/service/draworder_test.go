@@ -45,7 +45,7 @@ func TestRunSpecV2MatchesBlockReference(t *testing.T) {
 }
 
 // TestDrawOrderCrossVersionDurability is the migration guarantee for
-// persisted stores: a v1 report written through the tiered cache
+// persisted stores: a v1 report written through the tiered store
 // before the versioned surface replays bit-identically after a
 // restart (its key and bytes never moved), while the same parameters
 // under v2 are a different key computing a different result — old
@@ -54,7 +54,7 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	open := func() *Cache {
+	open := func() *store.Tiered[*Report] {
 		t.Helper()
 		disk, err := store.OpenDisk(dir, store.DiskOptions{FlushInterval: -1})
 		if err != nil {
@@ -64,11 +64,7 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache, err := NewCacheWithStore(tiered)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cache
+		return tiered
 	}
 
 	v1 := validSpec()
@@ -76,17 +72,17 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 	rep1 := referenceReport(t, v1)
 	h1 := rep1.SpecHash
 
-	cache := open()
-	cache.Put(h1, rep1)
-	if err := cache.Close(); err != nil {
+	tiered := open()
+	tiered.Put(h1, rep1)
+	if err := tiered.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": a fresh cache over the same directory must replay the
+	// "Restart": a fresh store over the same directory must replay the
 	// v1 report exactly.
-	cache = open()
-	defer cache.Close()
-	back, ok := cache.Get(h1)
+	tiered = open()
+	defer tiered.Close()
+	back, ok := tiered.Get(h1)
 	if !ok {
 		t.Fatal("persisted v1 report lost across restart")
 	}
@@ -113,7 +109,7 @@ func TestDrawOrderCrossVersionDurability(t *testing.T) {
 	if h2 == h1 {
 		t.Fatal("v2 spec hashed onto the persisted v1 key")
 	}
-	if _, ok := cache.Get(h2); ok {
+	if _, ok := tiered.Get(h2); ok {
 		t.Fatal("v2 key unexpectedly present in a store that only saw v1")
 	}
 	rep2 := referenceReport(t, v2)

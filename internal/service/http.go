@@ -652,8 +652,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 // canceled job to reach its terminal state before answering with the
 // pending cancel_requested view. Queued jobs settle synchronously
 // (Cancel reaps them from the backlog); running jobs stop at their
-// next context check, which the work-scaled check interval keeps well
-// inside this budget on an unloaded machine.
+// next step, well inside this budget on an unloaded machine.
 const cancelSettleBudget = 500 * time.Millisecond
 
 // cancelResponse is the DELETE /v1/jobs/{id} payload: the job view

@@ -300,7 +300,7 @@ func TestQueueFullResponds429(t *testing.T) {
 func TestSweepEndpoint(t *testing.T) {
 	t.Parallel()
 
-	ts, sched, _ := testServer(t, SchedulerConfig{Workers: 2, QueueDepth: 8, SweepWorkers: 4}, 32)
+	ts, sched, _ := testServer(t, SchedulerConfig{Workers: 4, QueueDepth: 8}, 32)
 	sweepBody := `{
 		"family": {"qualities": [0.9, 0.5, 0.5], "beta": 0.7},
 		"variants": [
@@ -463,8 +463,8 @@ func TestCancelResponseReflectsCancel(t *testing.T) {
 		t.Error("terminal cancel response still flags cancel_requested")
 	}
 
-	// Running job: with work-scaled context checks the cancel settles
-	// within the handler's wait budget, so the response is terminal
+	// Running job: it stops at its next step, so the cancel settles
+	// within the handler's wait budget and the response is terminal
 	// too (cancel_requested would only appear under extreme load).
 	jr = del(blocker.ID)
 	if jr.Status != JobCanceled && !jr.CancelRequested {

@@ -142,7 +142,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				continue
 			}
 
-			sweeps := newTestScheduler(t, SchedulerConfig{Workers: 1, QueueDepth: 4, SweepWorkers: 2})
+			sweeps := newTestScheduler(t, SchedulerConfig{Workers: 2, QueueDepth: 4})
 			sw := SweepSpec{
 				Family: SweepFamily{Qualities: spec.Qualities, Beta: spec.Beta, DrawOrder: spec.DrawOrder},
 				Variants: []SweepVariant{{

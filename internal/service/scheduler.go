@@ -113,14 +113,6 @@ type Leveler interface {
 // loadctl.LevelTightenInteractive and above.
 const interactiveTighten = 4
 
-// ctxCheckEvery is the most simulation steps that run between context
-// cancellation checks. Specs with expensive steps check more often:
-// Spec.checkInterval scales the interval down so roughly
-// ctxCheckBudget operations — not ctxCheckEvery steps — pass between
-// checks, keeping cancellation latency bounded in wall-clock terms for
-// max-size agent and topology specs.
-const ctxCheckEvery = 2048
-
 // Report is the JSON result of one completed simulation job. With
 // Replications=1 its Regret and Popularity equal a direct
 // core.New(...).Run(...) with the same seed; with more replications
@@ -297,7 +289,7 @@ func (j *Job) Times() (created, started, finished time.Time) {
 }
 
 // CancelRequested reports that Cancel was called but the job has not
-// reached a terminal state yet (it stops at its next context check).
+// reached a terminal state yet (it stops at its next step).
 func (j *Job) CancelRequested() bool {
 	if j.ctx.Err() == nil {
 		return false
@@ -312,7 +304,7 @@ func (j *Job) CancelRequested() bool {
 // Cancel asks the job to stop. A still-queued job is removed from the
 // queue immediately — freeing its slot for admission control rather
 // than letting canceled work occupy it until a worker reaches it — and
-// finishes as canceled; a running job stops at its next context check.
+// finishes as canceled; a running job stops at its next step.
 func (j *Job) Cancel() {
 	j.cancel()
 	if j.sched != nil {
@@ -344,9 +336,17 @@ func (j *Job) finish(status JobStatus, reports []*Report, err error) {
 
 // SchedulerConfig sizes the worker pool.
 type SchedulerConfig struct {
-	// Workers is the number of worker goroutines. Every worker takes
-	// the oldest queued interactive job, else the oldest queued batch
-	// job, and runs it to completion before taking the next.
+	// Workers is the scheduler's one parallelism setting. It starts
+	// that many worker goroutines, each taking the oldest queued
+	// interactive job, else the oldest queued batch job, and running it
+	// to completion before taking the next. It also sizes the gate that
+	// bounds simulation tasks running at once across all jobs: every
+	// running job, solo or sweep, fans its tasks (v1 replications, v2
+	// replication blocks) out to Workers goroutines, its own worker
+	// among them, and a task computes only while it holds a gate slot.
+	// Total simulation parallelism is therefore Workers, and a job that
+	// finds every slot taken waits for the next free one while its
+	// JobTimeout runs.
 	Workers int
 	// QueueDepth is each worker's share of the queue: at most
 	// Workers × QueueDepth not-yet-running jobs wait, and a full queue
@@ -360,16 +360,6 @@ type SchedulerConfig struct {
 	// and a job that hits it finishes as JobFailed with ErrJobTimeout.
 	// Zero means no server-side time limit.
 	JobTimeout time.Duration
-	// SweepWorkers caps the simulation tasks running at once across
-	// all jobs: every running job, solo or sweep, fans its tasks (v1
-	// replications, v2 replication blocks) out to this many workers,
-	// its own worker among them, through one shared gate of this many
-	// slots, and a task computes only while it holds a slot. Total
-	// simulation parallelism is therefore SweepWorkers, not
-	// Workers + SweepWorkers, and a job that finds every slot taken
-	// waits for the next free one while its JobTimeout runs.
-	// 0 defaults to Workers.
-	SweepWorkers int
 	// MaxCost, when positive, is each worker's share of the wall-clock
 	// admission budget: a submission whose predicted cost (step-cost
 	// profiler estimate × steps × replications, summed per variant for
@@ -399,14 +389,13 @@ type SchedulerConfig struct {
 
 // SchedulerStats is a point-in-time snapshot for /statsz.
 type SchedulerStats struct {
-	Workers      int    `json:"workers"`
-	QueueDepth   int    `json:"queue_depth"`
-	SweepWorkers int    `json:"sweep_workers"`
-	Queued       int    `json:"queued"`
-	Running      int    `json:"running"`
-	Completed    uint64 `json:"completed"`
-	Failed       uint64 `json:"failed"`
-	Canceled     uint64 `json:"canceled"`
+	Workers    int    `json:"workers"`
+	QueueDepth int    `json:"queue_depth"`
+	Queued     int    `json:"queued"`
+	Running    int    `json:"running"`
+	Completed  uint64 `json:"completed"`
+	Failed     uint64 `json:"failed"`
+	Canceled   uint64 `json:"canceled"`
 	// Sweeps counts executed sweep jobs (POST /v1/sweep admissions).
 	Sweeps uint64 `json:"sweeps"`
 	// SoloJobs counts executed single-spec jobs.
@@ -437,7 +426,7 @@ type ClassStats struct {
 type Scheduler struct {
 	cfg SchedulerConfig
 	// sweepGate bounds aggregate task parallelism across every running
-	// job, solo or sweep (see SchedulerConfig.SweepWorkers).
+	// job, solo or sweep, to Workers (see SchedulerConfig.Workers).
 	sweepGate chan struct{}
 
 	// mu guards admission, the queues, the job table and closed; ready
@@ -489,12 +478,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.JobTimeout < 0 {
 		return nil, fmt.Errorf("%w: job timeout=%s", ErrBadSpec, cfg.JobTimeout)
 	}
-	if cfg.SweepWorkers < 0 {
-		return nil, fmt.Errorf("%w: sweep workers=%d", ErrBadSpec, cfg.SweepWorkers)
-	}
-	if cfg.SweepWorkers == 0 {
-		cfg.SweepWorkers = cfg.Workers
-	}
 	if cfg.MaxCost < 0 {
 		return nil, fmt.Errorf("%w: max cost=%s", ErrBadSpec, cfg.MaxCost)
 	}
@@ -511,7 +494,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:       cfg,
-		sweepGate: make(chan struct{}, cfg.SweepWorkers),
+		sweepGate: make(chan struct{}, cfg.Workers),
 		jobs:      make(map[string]*Job),
 		logger:    logger,
 	}
@@ -741,14 +724,13 @@ func (s *Scheduler) Job(id string) (*Job, error) {
 func (s *Scheduler) Stats() SchedulerStats {
 	m := s.metrics
 	st := SchedulerStats{
-		Workers:      s.cfg.Workers,
-		QueueDepth:   s.cfg.QueueDepth,
-		SweepWorkers: s.cfg.SweepWorkers,
-		Queued:       int(m.depth[0].Value() + m.depth[1].Value()),
-		Running:      int(m.running.Value()),
-		Sweeps:       m.sweeps.Value(),
-		SoloJobs:     m.soloJobs.Value(),
-		Classes:      make(map[string]ClassStats, numClasses),
+		Workers:    s.cfg.Workers,
+		QueueDepth: s.cfg.QueueDepth,
+		Queued:     int(m.depth[0].Value() + m.depth[1].Value()),
+		Running:    int(m.running.Value()),
+		Sweeps:     m.sweeps.Value(),
+		SoloJobs:   m.soloJobs.Value(),
+		Classes:    make(map[string]ClassStats, numClasses),
 	}
 	for ci, class := range classNames {
 		cs := ClassStats{
@@ -912,7 +894,7 @@ func (s *Scheduler) settle(job *Job, reports []*Report, err error) {
 // The job kind decides only the variant list and the family config: a
 // single spec is one variant, a sweep one per member. Either way the
 // job's tasks fan out through the shared gate to this worker and up to
-// SweepWorkers−1 goroutines; a one-task job starts none.
+// Workers−1 goroutines; a one-task job starts none.
 func (s *Scheduler) run(job *Job) {
 	if !s.dequeue(job) {
 		return
@@ -926,7 +908,8 @@ func (s *Scheduler) run(job *Job) {
 		return
 	}
 	specs, hashes := []Spec{job.spec}, []string{job.hash}
-	opt := experiment.SweepOptions{Workers: s.cfg.SweepWorkers, Gate: s.sweepGate, Counters: &s.sweepCtrs}
+	opt := experiment.SweepOptions{Workers: s.cfg.Workers, Gate: s.sweepGate, Counters: &s.sweepCtrs,
+		Trace: job.strace, Span: job.runSpan}
 	var proto core.Config
 	var err error
 	if sw := job.sweep; sw != nil {
@@ -947,7 +930,6 @@ func (s *Scheduler) run(job *Job) {
 	variants := make([]experiment.SweepVariant, len(specs))
 	for i := range specs {
 		variants[i] = specs[i].sweepVariant()
-		variants[i].Trace, variants[i].Span = job.strace, job.runSpan
 	}
 	variants[0].Trajectory = job.trace // nil for sweep jobs
 	s.metrics.markDrawOrder(specs[0].DrawOrder)

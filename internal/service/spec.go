@@ -284,9 +284,8 @@ func (s *Spec) Validate() error {
 	}
 	// Post-Normalize "v1" is already folded to "". The admission-work
 	// arithmetic below is version-independent: v2 runs the same
-	// simulated operations, just batched into lanes (RunSweep scales
-	// its context-check interval down by the block width so
-	// cancellation latency stays bounded in simulated work).
+	// simulated operations, just batched into lanes (a canceled v2
+	// block, like a v1 replication, stops at its next step).
 	switch s.DrawOrder {
 	case "", "v2":
 	default:
@@ -361,26 +360,6 @@ func (s *Spec) perStepCost() int64 {
 		perStep = max(perStep, int64(s.N))
 	}
 	return perStep
-}
-
-// ctxCheckBudget is the target number of simulated operations between
-// context-cancellation checks on a running job: large enough that the
-// check is amortized noise, small enough that cancellation and the
-// server's JobTimeout act within milliseconds of wall clock even for
-// specs whose per-step cost is maximal (a fixed step interval would
-// let a 10⁶-agent spec run ~2×10⁹ operations — seconds — between
-// checks).
-const ctxCheckBudget = 1 << 22
-
-// checkInterval converts the per-step cost into a step interval for
-// context checks: at most ctxCheckEvery steps, at least 1, aiming for
-// ctxCheckBudget operations between checks.
-func (s *Spec) checkInterval() int {
-	every := int64(ctxCheckEvery)
-	if byBudget := ctxCheckBudget / s.perStepCost(); byBudget < every {
-		every = byBudget
-	}
-	return int(max(every, 1))
 }
 
 // class resolves the spec's effective scheduling class: the explicit
@@ -470,7 +449,6 @@ func (s *Spec) sweepVariant() experiment.SweepVariant {
 		Steps:        s.Steps,
 		Replications: s.Replications,
 		Seed:         s.Seed,
-		CheckEvery:   s.checkInterval(),
 		DrawOrder:    s.DrawOrder,
 	}
 }
