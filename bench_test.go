@@ -1,4 +1,5 @@
-// Benchmarks: one per experiment in DESIGN.md's index (E01–E14). Each
+// Benchmarks: one per experiment in internal/experiment's claim index
+// (E01–E14, in its package comment). Each
 // benchmark runs a scaled-down instance of the corresponding experiment
 // and reports its headline metric via b.ReportMetric, so `go test
 // -bench=.` both times the harness and regenerates the paper-claim

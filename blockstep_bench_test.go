@@ -57,7 +57,7 @@ const benchBlockLanes = experiment.BlockLanes
 // one-off spike skews one window, not the median of 16.
 func benchBlockPair(b *testing.B, blk *core.BlockGroup, groups []*core.Group, innerSteps int) float64 {
 	b.Helper()
-	lanes := blk.Lanes()
+	lanes := benchBlockLanes
 	runBlock := func(n int) time.Duration {
 		start := time.Now()
 		for s := 0; s < n; s++ {

@@ -1,5 +1,6 @@
-// Command repro regenerates every experiment in DESIGN.md's
-// per-experiment index (E01–E14) and prints the paper-style tables.
+// Command repro regenerates every experiment in internal/experiment's
+// claim index (E01–E14, in its package comment) and prints the
+// paper-style tables.
 //
 //	repro                # run everything
 //	repro -only E03,E04  # run a subset

@@ -4,10 +4,11 @@
 //
 // The library lives under internal/: start with internal/core for the
 // public simulation API, internal/experiment for the per-claim benchmark
-// harness (experiments E01–E14 of DESIGN.md), and the cmd/ and examples/
+// harness (experiments E01–E14; its package comment indexes each one's
+// paper claim and asserting test), and the cmd/ and examples/
 // directories for runnable programs. bench_test.go in this directory
 // hosts one benchmark per experiment plus the ablation benches for the
-// design choices called out in DESIGN.md and the serving-path
+// design choices in that index (A01, A02) and the serving-path
 // benchmarks for internal/service.
 //
 // The serving layer lives in internal/service: a JSON Spec that
@@ -116,8 +117,8 @@
 // sampling distribution (conditional-binomial decomposition, ascending
 // category order), then m stage-2 adoption binomials ascending —
 // O(m) draws per step instead of O(N), equal in law to the per-agent
-// walk by exchangeability (homogeneous rules only; heterogeneous specs
-// stay on v1). Under v2 the agent and aggregate engines therefore
+// walk by exchangeability (every individual follows the one adoption
+// rule a spec names). Under v2 the agent and aggregate engines therefore
 // produce identical draw sequences (one population.BlockEngine serves
 // both). experiment.RunSweep executes v2 replications in blocks of up
 // to experiment.BlockLanes lanes, narrowed so that every worker gets a

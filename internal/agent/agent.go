@@ -4,10 +4,11 @@
 //
 // The paper's Section 2.1 defines f_i(R) = 1 with probability β_i when
 // R = 1 and with probability α_i when R = 0 (α_i ≤ β_i, strictly
-// E[f_i(1)] > E[f_i(0)]). The analysis specializes to identical agents
-// with α = 1−β; this package supports both the symmetric rule and fully
-// heterogeneous populations, plus the shock-threshold rule of the
-// Ellison–Fudenberg instantiation.
+// E[f_i(1)] > E[f_i(0)]). The analysis and every experiment here use
+// one rule shared by all individuals: this package supplies that rule
+// (Linear, with the symmetric α = 1−β as NewSymmetric) and the
+// shock-threshold rule of the Ellison–Fudenberg instantiation, which
+// reduces to a Linear rule (ShockThreshold.InducedLinear).
 package agent
 
 import (
@@ -110,12 +111,6 @@ func NewShockThreshold(shock dist.Sampler) (*ShockThreshold, error) {
 	return &ShockThreshold{shock: shock}, nil
 }
 
-// AdoptOption1 reports whether an individual facing rewards r1, r2
-// adopts option 1 under a fresh shock.
-func (s *ShockThreshold) AdoptOption1(r *rng.RNG, r1, r2 float64) bool {
-	return r1-r2+s.shock.Sample(r) > 0
-}
-
 // InducedLinear estimates the binary-model (α, β) induced by the shock
 // rule for reward gaps drawn from gap (conditioned on sign), using
 // trials Monte Carlo draws per parameter.
@@ -153,54 +148,4 @@ func (s *ShockThreshold) InducedLinear(r *rng.RNG, gap dist.Sampler, trials int)
 		alpha = beta
 	}
 	return Linear{alpha: alpha, beta: beta}, nil
-}
-
-// Population is a collection of per-agent rules, supporting the paper's
-// heterogeneous-f_i generality.
-type Population struct {
-	rules []Rule
-}
-
-// NewHomogeneous builds an n-agent population sharing one rule.
-func NewHomogeneous(n int, rule Rule) (*Population, error) {
-	if n <= 0 || rule == nil {
-		return nil, fmt.Errorf("%w: homogeneous n=%d rule=%v", ErrBadRule, n, rule)
-	}
-	rules := make([]Rule, n)
-	for i := range rules {
-		rules[i] = rule
-	}
-	return &Population{rules: rules}, nil
-}
-
-// NewHeterogeneous builds a population from explicit per-agent rules.
-func NewHeterogeneous(rules []Rule) (*Population, error) {
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("%w: empty rule list", ErrBadRule)
-	}
-	for i, r := range rules {
-		if r == nil {
-			return nil, fmt.Errorf("%w: nil rule at index %d", ErrBadRule, i)
-		}
-	}
-	cp := make([]Rule, len(rules))
-	copy(cp, rules)
-	return &Population{rules: cp}, nil
-}
-
-// Size returns the number of agents.
-func (p *Population) Size() int { return len(p.rules) }
-
-// Rule returns agent i's adoption rule.
-func (p *Population) Rule(i int) Rule { return p.rules[i] }
-
-// MeanParameters returns the population-average (α, β), which govern
-// the aggregate drift when agents are heterogeneous.
-func (p *Population) MeanParameters() (alpha, beta float64) {
-	for _, r := range p.rules {
-		alpha += r.Alpha()
-		beta += r.Beta()
-	}
-	n := float64(len(p.rules))
-	return alpha / n, beta / n
 }

@@ -116,32 +116,10 @@ func TestShockThresholdValidation(t *testing.T) {
 	}
 }
 
-func TestShockThresholdAdoptOption1(t *testing.T) {
-	t.Parallel()
+// constGap is a reward-gap sampler that always returns the same gap.
+type constGap float64
 
-	shock, err := dist.NewLogistic(0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewShockThreshold(shock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(3)
-	const n = 100000
-	hits := 0
-	gap := 1.0
-	for i := 0; i < n; i++ {
-		if s.AdoptOption1(r, gap, 0) {
-			hits++
-		}
-	}
-	// P[gap + xi > 0] = CDF_xi(gap) for symmetric xi = 1/(1+e^{-gap/s}).
-	want := 1 / (1 + math.Exp(-gap/0.5))
-	if got := float64(hits) / n; math.Abs(got-want) > 0.01 {
-		t.Errorf("adoption frequency %v, want ~%v", got, want)
-	}
-}
+func (g constGap) Sample(*rng.RNG) float64 { return float64(g) }
 
 // TestInducedLinearMatchesAnalytic verifies the Ellison–Fudenberg
 // reduction: for a constant reward gap g and logistic shock the induced
@@ -158,12 +136,8 @@ func TestInducedLinearMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gap, err := dist.NewUniform(0.99999, 1.00001) // essentially constant gap 1
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rng.New(4)
-	induced, err := s.InducedLinear(r, gap, 200000)
+	induced, err := s.InducedLinear(r, constGap(1), 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,59 +169,6 @@ func TestInducedLinearValidation(t *testing.T) {
 	}
 	if _, err := s.InducedLinear(rng.New(1), shock, 0); !errors.Is(err, ErrBadRule) {
 		t.Error("zero trials accepted")
-	}
-}
-
-func TestPopulationConstruction(t *testing.T) {
-	t.Parallel()
-
-	rule, err := NewSymmetric(0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewHomogeneous(0, rule); !errors.Is(err, ErrBadRule) {
-		t.Error("n=0 accepted")
-	}
-	if _, err := NewHomogeneous(5, nil); !errors.Is(err, ErrBadRule) {
-		t.Error("nil rule accepted")
-	}
-	p, err := NewHomogeneous(5, rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Size() != 5 {
-		t.Errorf("Size = %d, want 5", p.Size())
-	}
-	if p.Rule(3).Beta() != 0.6 {
-		t.Error("Rule(3) wrong")
-	}
-
-	if _, err := NewHeterogeneous(nil); !errors.Is(err, ErrBadRule) {
-		t.Error("empty heterogeneous accepted")
-	}
-	if _, err := NewHeterogeneous([]Rule{rule, nil}); !errors.Is(err, ErrBadRule) {
-		t.Error("nil entry accepted")
-	}
-}
-
-func TestPopulationMeanParameters(t *testing.T) {
-	t.Parallel()
-
-	a, err := NewLinear(0.1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewLinear(0.3, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewHeterogeneous([]Rule{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, beta := p.MeanParameters()
-	if math.Abs(alpha-0.2) > 1e-12 || math.Abs(beta-0.7) > 1e-12 {
-		t.Errorf("mean parameters (%v,%v), want (0.2,0.7)", alpha, beta)
 	}
 }
 

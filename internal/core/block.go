@@ -29,7 +29,6 @@ type BlockGroup struct {
 	e       blockEngine
 	environ env.Environment
 	eta1    float64
-	lanes   int
 }
 
 // blockEngine advances every lane of a block: population.BlockEngine,
@@ -119,7 +118,7 @@ func (t *Template) NewBlock(n int, kind EngineKind, seed uint64, lane0, lanes in
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return t.block(e, lanes), nil
+	return t.block(e), nil
 }
 
 // NewBlockV1 builds a block of v1-order replications: lane k replays
@@ -143,12 +142,12 @@ func (t *Template) newLaneGroups(n int, kind EngineKind, seed uint64, lane0, lan
 		}
 		b.lanes[k] = e
 	}
-	return t.block(b, lanes), nil
+	return t.block(b), nil
 }
 
-// block wraps a built engine of lanes lanes in the template's family.
-func (t *Template) block(e blockEngine, lanes int) *BlockGroup {
-	return &BlockGroup{e: e, environ: t.environ, eta1: t.eta1, lanes: lanes}
+// block wraps a built block engine in the template's family.
+func (t *Template) block(e blockEngine) *BlockGroup {
+	return &BlockGroup{e: e, environ: t.environ, eta1: t.eta1}
 }
 
 // checkLanes rejects a block that starts before lane 0 or holds no lane.
@@ -158,9 +157,6 @@ func checkLanes(lane0, lanes int) error {
 	}
 	return nil
 }
-
-// Lanes returns the number of replication lanes.
-func (b *BlockGroup) Lanes() int { return b.lanes }
 
 // Options returns the number of options m.
 func (b *BlockGroup) Options() int { return b.environ.Options() }

@@ -17,14 +17,16 @@ func blockBaseConfig() Config {
 	}
 }
 
-func runBlock(t *testing.T, b *BlockGroup, steps int) (pops [][]float64, cums []float64) {
+// runBlock steps b, a block of lanes lanes, and returns each lane's
+// final popularity and cumulative group reward.
+func runBlock(t *testing.T, b *BlockGroup, lanes, steps int) (pops [][]float64, cums []float64) {
 	t.Helper()
 	for s := 0; s < steps; s++ {
 		if err := b.StepBlock(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < b.Lanes(); k++ {
+	for k := 0; k < lanes; k++ {
 		pops = append(pops, b.AppendPopularity(k, nil))
 		cums = append(cums, b.CumulativeGroupReward(k))
 	}
@@ -72,13 +74,13 @@ func TestBlockGroupChunkInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantPops, wantCums := runBlock(t, whole, steps)
+			wantPops, wantCums := runBlock(t, whole, lanes, steps)
 			for _, chunk := range []struct{ lane0, width int }{{0, 4}, {4, 1}, {2, 1}} {
 				b, err := NewBlock(tc.cfg, chunk.lane0, chunk.width)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotPops, gotCums := runBlock(t, b, steps)
+				gotPops, gotCums := runBlock(t, b, chunk.width, steps)
 				assertLanesEqual(t, tc.name, wantPops, gotPops, wantCums, gotCums, chunk.lane0)
 			}
 		})
@@ -150,12 +152,12 @@ func TestTemplateNewBlockMatchesNewBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPops, wantCums := runBlock(t, want, steps)
+		wantPops, wantCums := runBlock(t, want, lanes, steps)
 		got, err := tmpl.NewBlock(engCase.n, engCase.engine, cfg.Seed, 0, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotPops, gotCums := runBlock(t, got, steps)
+		gotPops, gotCums := runBlock(t, got, lanes, steps)
 		assertLanesEqual(t, "template block", wantPops, gotPops, wantCums, gotCums, 0)
 	}
 }
@@ -183,14 +185,14 @@ func TestBlockGroupResetReplays(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantPops, wantCums := runBlock(t, b, steps)
+			wantPops, wantCums := runBlock(t, b, lanes, steps)
 			if err := b.Reset(tc.cfg.Seed, lane0); err != nil {
 				t.Fatal(err)
 			}
 			if b.T() != 0 {
 				t.Fatal("Reset did not zero the step counter")
 			}
-			gotPops, gotCums := runBlock(t, b, steps)
+			gotPops, gotCums := runBlock(t, b, lanes, steps)
 			assertLanesEqual(t, tc.name+" reset", wantPops, gotPops, wantCums, gotCums, 0)
 		})
 	}
@@ -243,12 +245,12 @@ func TestBlockV1ReplaysGroups(t *testing.T) {
 	}
 }
 
-// assertLanesReplayGroups steps b and one fresh v1 group per lane,
-// seeded rng.SeedFor(seed, lane0+k), and fails on the first bit that
-// differs.
+// assertLanesReplayGroups steps b, a Template.NewBlockV1 block, and one
+// fresh v1 group per lane, seeded rng.SeedFor(seed, lane0+k), and fails
+// on the first bit that differs.
 func assertLanesReplayGroups(t *testing.T, tmpl *Template, cfg Config, b *BlockGroup, seed uint64, lane0, steps int) {
 	t.Helper()
-	groups := make([]*Group, b.Lanes())
+	groups := make([]*Group, len(b.e.(*laneGroups).lanes))
 	for k := range groups {
 		g, err := tmpl.Group(cfg.N, cfg.Engine, rng.SeedFor(seed, lane0+k))
 		if err != nil {

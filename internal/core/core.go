@@ -44,8 +44,8 @@ const (
 	// EngineAggregate advances per-option counts (O(m) per step);
 	// the default, suitable for N up to millions.
 	EngineAggregate EngineKind = iota
-	// EngineAgent walks every individual (O(N) per step); required for
-	// heterogeneous rules, useful for small-N studies.
+	// EngineAgent walks every individual (O(N) per step), the paper's
+	// per-individual dynamics as written; useful for small-N studies.
 	EngineAgent
 )
 
@@ -302,13 +302,6 @@ func (t *Template) engine(n int, kind EngineKind, seed uint64) (engine, error) {
 // popConfig is the finite engines' config for population size n.
 func (t *Template) popConfig(n int, seed uint64) population.Config {
 	return population.Config{N: n, Mu: t.mu, Rule: t.rule, Env: t.environ, Seed: seed}
-}
-
-// IsInfinite reports whether the group is the infinite-population
-// process.
-func (g *Group) IsInfinite() bool {
-	_, ok := g.e.(*infinite.Process)
-	return ok
 }
 
 // Mu returns the effective exploration rate.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/graph"
+	"repro/internal/infinite"
 	"repro/internal/stats"
 )
 
@@ -43,7 +44,7 @@ func TestDefaults(t *testing.T) {
 	if got := g.Mu(); math.Abs(got-delta*delta/6) > 1e-12 {
 		t.Errorf("default mu = %v, want %v", got, delta*delta/6)
 	}
-	if g.IsInfinite() {
+	if _, ok := g.e.(*infinite.Process); ok {
 		t.Error("finite group reported infinite")
 	}
 }
@@ -73,7 +74,7 @@ func TestInfiniteSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsInfinite() {
+	if _, ok := g.e.(*infinite.Process); !ok {
 		t.Fatal("N=0 did not select infinite process")
 	}
 	rep, err := g.Run(200)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/infinite"
 	"repro/internal/stats"
 )
 
@@ -24,7 +25,7 @@ func TestNetworkGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grp.IsInfinite() {
+	if _, ok := grp.e.(*infinite.Process); ok {
 		t.Error("network group reported infinite")
 	}
 	rep, err := grp.Run(500)

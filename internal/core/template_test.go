@@ -198,7 +198,7 @@ func TestTemplateNetworkMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPops, wantCums := runBlock(t, wantBlock, steps)
-	gotPops, gotCums := runBlock(t, gotBlock, steps)
+	wantPops, wantCums := runBlock(t, wantBlock, lanes, steps)
+	gotPops, gotCums := runBlock(t, gotBlock, lanes, steps)
 	assertLanesEqual(t, "template network block", wantPops, gotPops, wantCums, gotCums, 0)
 }

@@ -141,23 +141,3 @@ func Run(c Config) (*Result, error) {
 	}
 	return res, nil
 }
-
-// MeanDeviationAt averages the step-t deviation (1-based) over reps
-// independent coupled runs, deriving per-replication seeds from
-// c.Seed.
-func MeanDeviationAt(c Config, step, reps int) (stats.Summary, error) {
-	var out stats.Summary
-	if step <= 0 || step > c.Steps || reps <= 0 {
-		return out, fmt.Errorf("%w: step=%d reps=%d", ErrBadConfig, step, reps)
-	}
-	for rep := 0; rep < reps; rep++ {
-		cc := c
-		cc.Seed = c.Seed + uint64(rep)*0x9e3779b9
-		res, err := Run(cc)
-		if err != nil {
-			return out, err
-		}
-		out.Add(res.Deviation[step-1])
-	}
-	return out, nil
-}

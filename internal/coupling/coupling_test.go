@@ -100,31 +100,6 @@ func TestTrajectoriesStayClose(t *testing.T) {
 	}
 }
 
-// TestDeviationShrinksWithN verifies the 1/sqrt(N) scaling: the mean
-// early-step deviation at N=10^6 is smaller than at N=10^3.
-func TestDeviationShrinksWithN(t *testing.T) {
-	t.Parallel()
-
-	c := baseConfig(t)
-	c.Steps = 3
-	const reps = 20
-
-	c.N = 1000
-	small, err := MeanDeviationAt(c, 3, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.N = 1000000
-	large, err := MeanDeviationAt(c, 3, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large.Mean() >= small.Mean() {
-		t.Errorf("deviation did not shrink with N: N=10^3 -> %v, N=10^6 -> %v",
-			small.Mean(), large.Mean())
-	}
-}
-
 func TestAgentEngineCouplingAgrees(t *testing.T) {
 	t.Parallel()
 
@@ -140,21 +115,6 @@ func TestAgentEngineCouplingAgrees(t *testing.T) {
 		if math.IsInf(dev, 0) || math.IsNaN(dev) {
 			t.Errorf("step %d: degenerate deviation %v", step+1, dev)
 		}
-	}
-}
-
-func TestMeanDeviationValidation(t *testing.T) {
-	t.Parallel()
-
-	c := baseConfig(t)
-	if _, err := MeanDeviationAt(c, 0, 5); !errors.Is(err, ErrBadConfig) {
-		t.Error("step=0 accepted")
-	}
-	if _, err := MeanDeviationAt(c, c.Steps+1, 5); !errors.Is(err, ErrBadConfig) {
-		t.Error("step beyond horizon accepted")
-	}
-	if _, err := MeanDeviationAt(c, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Error("reps=0 accepted")
 	}
 }
 

@@ -26,21 +26,12 @@ type Alias struct {
 	small, large []int
 }
 
-// NewAlias builds the table for the given weights (non-negative,
-// finite, positive sum; normalized internally).
-func NewAlias(weights []float64) (*Alias, error) {
-	a := &Alias{}
-	if err := a.Rebuild(weights); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Rebuild reconstructs the table for a new weight vector (same
-// constraints as NewAlias; the length may change). The construction is
-// deterministic and identical to NewAlias's, so a rebuilt table draws
-// exactly the sequence a fresh table would. After the first build with
-// a given length, Rebuild allocates nothing.
+// Rebuild reconstructs the table for a new weight vector (non-negative,
+// finite, positive sum; normalized internally; the length may change).
+// The zero Alias is an empty table, so (&Alias{}).Rebuild(w) builds a
+// fresh one. The construction is deterministic, so a rebuilt table
+// draws exactly the sequence a fresh table would. After the first
+// build with a given length, Rebuild allocates nothing.
 func (a *Alias) Rebuild(weights []float64) error {
 	m := len(weights)
 	total, err := aliasTotal(weights)

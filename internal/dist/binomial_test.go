@@ -172,21 +172,21 @@ func TestMultinomialZeroN(t *testing.T) {
 }
 
 func TestAliasValidation(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
+	if err := (&Alias{}).Rebuild(nil); err == nil {
 		t.Error("no weights: want error")
 	}
-	if _, err := NewAlias([]float64{0, 0}); err == nil {
+	if err := (&Alias{}).Rebuild([]float64{0, 0}); err == nil {
 		t.Error("zero weights: want error")
 	}
-	if _, err := NewAlias([]float64{1, -1}); err == nil {
+	if err := (&Alias{}).Rebuild([]float64{1, -1}); err == nil {
 		t.Error("negative weight: want error")
 	}
 }
 
 func TestAliasFrequencies(t *testing.T) {
 	weights := []float64{4, 0, 1, 3, 2}
-	a, err := NewAlias(weights)
-	if err != nil {
+	a := &Alias{}
+	if err := a.Rebuild(weights); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != len(weights) {

@@ -1,9 +1,9 @@
 // Package dist supplies the distribution samplers the dynamics are
 // built from: continuous reward/shock distributions (normal, logistic,
-// uniform, beta) behind the Sampler interface, and the discrete
-// primitives driving the aggregate engine — an exact binomial sampler
-// that switches regime by (n, p), a conditional-binomial multinomial,
-// and a Walker alias table for stage-one option sampling.
+// beta) behind the Sampler interface, and the discrete primitives
+// driving the aggregate engine — an exact binomial sampler that
+// switches regime by (n, p), a conditional-binomial multinomial, and a
+// Walker alias table for stage-one option sampling.
 package dist
 
 import (
@@ -68,24 +68,6 @@ func (l *Logistic) Sample(r *rng.RNG) float64 {
 		u = r.Float64()
 	}
 	return l.loc + l.scale*math.Log(u/(1-u))
-}
-
-// Uniform is the uniform distribution on [a, b).
-type Uniform struct {
-	a, b float64
-}
-
-// NewUniform validates and returns a uniform sampler (a < b).
-func NewUniform(a, b float64) (*Uniform, error) {
-	if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) || !(a < b) {
-		return nil, fmt.Errorf("%w: uniform(%v, %v)", ErrBadParam, a, b)
-	}
-	return &Uniform{a: a, b: b}, nil
-}
-
-// Sample implements Sampler.
-func (u *Uniform) Sample(r *rng.RNG) float64 {
-	return u.a + (u.b-u.a)*r.Float64()
 }
 
 // Beta is the Beta(A, B) distribution (A, B > 0), used by Thompson

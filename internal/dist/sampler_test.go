@@ -186,7 +186,10 @@ func TestMultinomialTrailingZeroBucket(t *testing.T) {
 	}
 }
 
-func TestAliasRebuildMatchesNewAlias(t *testing.T) {
+// TestAliasRebuildMatchesFreshTable checks that a table rebuilt in
+// place over weight vectors of changing length draws exactly what a
+// fresh table built from the same weights draws.
+func TestAliasRebuildMatchesFreshTable(t *testing.T) {
 	weightSets := [][]float64{
 		{1, 1, 1},
 		{0.9, 0.05, 0.05},
@@ -195,8 +198,8 @@ func TestAliasRebuildMatchesNewAlias(t *testing.T) {
 	}
 	reused := &Alias{}
 	for _, weights := range weightSets {
-		fresh, err := NewAlias(weights)
-		if err != nil {
+		fresh := &Alias{}
+		if err := fresh.Rebuild(weights); err != nil {
 			t.Fatal(err)
 		}
 		if err := reused.Rebuild(weights); err != nil {
@@ -226,8 +229,8 @@ func TestAliasRebuildMatchesNewAlias(t *testing.T) {
 // same-length weights allocates nothing.
 func TestAliasRebuildSteadyStateAllocs(t *testing.T) {
 	weights := []float64{0.4, 0.3, 0.2, 0.1}
-	a, err := NewAlias(weights)
-	if err != nil {
+	a := &Alias{}
+	if err := a.Rebuild(weights); err != nil {
 		t.Fatal(err)
 	}
 	// Let the worklist buffers reach their steady-state capacity.

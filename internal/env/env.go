@@ -3,18 +3,18 @@
 //
 // The paper's base model (Section 2.1) draws, at every time step t and
 // for every option j, an independent quality signal R^t_j ~
-// Bernoulli(η_j). This package implements that model plus every variant
-// the paper discusses:
+// Bernoulli(η_j). This package implements that model plus the variants
+// the experiments run:
 //
 //   - ExactlyOneGood: the correlated two-option structure of the
 //     Ellison–Fudenberg example (footnote 3: exactly one of R^t_1, R^t_2
 //     is 1 each step, independence across time suffices).
-//   - ContinuousThreshold: continuous rewards plus player shocks reduced
-//     to the binary model as in Section 2.1, example 2.
 //   - Drifting / Switching: time-varying qualities, the extension named
 //     in the conclusion.
-//   - Adversarial: an arbitrary scripted reward sequence for contrasting
-//     with the adversarial MWU setting.
+//
+// Scripted (a fixed reward sequence, the adversarial setting), Faulty
+// (an injected failure) and Recorder (a replayable record of another
+// environment's rewards) are the seams that tests substitute.
 //
 // An Environment produces one vector of binary rewards per time step;
 // the dynamics only ever observe these binary signals.
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dist"
 	"repro/internal/rng"
 )
 
@@ -146,67 +145,6 @@ func (e *ExactlyOneGood) Step(r *rng.RNG, dst []float64) error {
 		dst[0], dst[1] = 0, 1
 	}
 	return nil
-}
-
-// ContinuousThreshold implements the reduction of Section 2.1, example 2
-// (Ellison–Fudenberg word-of-mouth learning). Two options pay continuous
-// rewards r^t_j drawn from RewardDist_j each step. The binary signal is
-// R^t_1 = 1{r^t_1 > r^t_2}. The derived model parameters are:
-//
-//	η_1 = P[r_1 > r_2],  η_2 = 1 − η_1,
-//	β   = P[ξ > r_2 − r_1 | r_1 > r_2],
-//	α   = P[ξ > r_2 − r_1 | r_2 > r_1],
-//
-// where ξ is the (zero-mean, symmetric) aggregate shock distribution.
-// The structure also exposes the raw rewards of the latest step so the
-// agent layer can implement the shock-based adoption rule directly.
-type ContinuousThreshold struct {
-	reward1, reward2 dist.Sampler
-	lastR1, lastR2   float64
-	etaEstimate      float64
-}
-
-var _ Environment = (*ContinuousThreshold)(nil)
-
-// NewContinuousThreshold builds the environment. etaHint, if in (0,1),
-// is reported by Qualities as the analytic η_1; it does not affect
-// sampling.
-func NewContinuousThreshold(reward1, reward2 dist.Sampler, etaHint float64) (*ContinuousThreshold, error) {
-	if reward1 == nil || reward2 == nil {
-		return nil, fmt.Errorf("%w: nil reward sampler", ErrBadParam)
-	}
-	if math.IsNaN(etaHint) || etaHint < 0 || etaHint > 1 {
-		etaHint = 0.5
-	}
-	return &ContinuousThreshold{reward1: reward1, reward2: reward2, etaEstimate: etaHint}, nil
-}
-
-// Options returns 2.
-func (e *ContinuousThreshold) Options() int { return 2 }
-
-// Qualities returns the hinted {η_1, 1−η_1}.
-func (e *ContinuousThreshold) Qualities() []float64 {
-	return []float64{e.etaEstimate, 1 - e.etaEstimate}
-}
-
-// Step draws the continuous rewards and emits the threshold indicator.
-func (e *ContinuousThreshold) Step(r *rng.RNG, dst []float64) error {
-	if len(dst) != 2 {
-		return fmt.Errorf("%w: dst length %d, want 2", ErrBadParam, len(dst))
-	}
-	e.lastR1 = e.reward1.Sample(r)
-	e.lastR2 = e.reward2.Sample(r)
-	if e.lastR1 > e.lastR2 {
-		dst[0], dst[1] = 1, 0
-	} else {
-		dst[0], dst[1] = 0, 1
-	}
-	return nil
-}
-
-// LastRewards returns the continuous rewards drawn by the latest Step.
-func (e *ContinuousThreshold) LastRewards() (r1, r2 float64) {
-	return e.lastR1, e.lastR2
 }
 
 // Drifting wraps a base quality vector whose entries perform a bounded

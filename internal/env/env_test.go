@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/dist"
 	"repro/internal/rng"
 )
 
@@ -121,51 +120,6 @@ func TestExactlyOneGood(t *testing.T) {
 	}
 	if got := ones / steps; math.Abs(got-0.7) > 0.01 {
 		t.Errorf("option 1 good frequency %v, want ~0.7", got)
-	}
-}
-
-func TestContinuousThreshold(t *testing.T) {
-	t.Parallel()
-
-	if _, err := NewContinuousThreshold(nil, nil, 0.5); !errors.Is(err, ErrBadParam) {
-		t.Error("nil samplers accepted")
-	}
-	r1, err := dist.NewNormal(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := dist.NewNormal(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// P[r1 > r2] = Phi(1/sqrt(2)) ≈ 0.7602.
-	wantEta := 0.7602
-	e, err := NewContinuousThreshold(r1, r2, wantEta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Qualities()[0]; got != wantEta {
-		t.Errorf("hinted eta = %v, want %v", got, wantEta)
-	}
-	r := rng.New(3)
-	dst := make([]float64, 2)
-	const steps = 100000
-	ones := 0.0
-	for i := 0; i < steps; i++ {
-		if err := e.Step(r, dst); err != nil {
-			t.Fatal(err)
-		}
-		if dst[0]+dst[1] != 1 {
-			t.Fatalf("threshold signal not exactly-one-good: %v", dst)
-		}
-		a, b := e.LastRewards()
-		if (a > b) != (dst[0] == 1) {
-			t.Fatal("signal inconsistent with recorded rewards")
-		}
-		ones += dst[0]
-	}
-	if got := ones / steps; math.Abs(got-wantEta) > 0.01 {
-		t.Errorf("empirical eta = %v, want ~%v", got, wantEta)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Ablations lists the design-choice experiments of DESIGN.md §5 that
-// produce tables (the purely timing-based ones live as benchmarks next
-// to their packages). cmd/repro runs them with -ablations.
+// Ablations lists the design-choice experiments of the claim index
+// (package comment) that produce tables (the purely timing-based ones
+// live as benchmarks next to their packages). cmd/repro runs them with
+// -ablations.
 func Ablations() []Spec {
 	return []Spec{
 		{ID: "A01", Title: "Engine ablation: per-agent vs aggregate (same law, different cost)", Run: func() (*Result, error) { return A01Engines(DefaultA01Options()) }},

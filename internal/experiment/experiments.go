@@ -1,7 +1,5 @@
 package experiment
 
-import "fmt"
-
 // Result is a finished experiment: a rendered table plus the key scalar
 // metrics tests assert on.
 type Result struct {
@@ -12,7 +10,8 @@ type Result struct {
 
 // Spec names a registered experiment.
 type Spec struct {
-	// ID is the experiment identifier from DESIGN.md (E01..E14).
+	// ID is the experiment identifier from the claim index in the
+	// package comment (E01..E14, A01..A02).
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -20,7 +19,7 @@ type Spec struct {
 	Run func() (*Result, error)
 }
 
-// Registry lists every experiment in DESIGN.md order. Each entry runs
+// Registry lists every experiment in claim-index order. Each entry runs
 // with defaults sized to finish in seconds on a laptop; the options
 // structs allow larger sweeps.
 func Registry() []Spec {
@@ -40,14 +39,4 @@ func Registry() []Spec {
 		{ID: "E13", Title: "Stage concentration vs Chernoff bounds (Propositions 4.1-4.3)", Run: func() (*Result, error) { return E13Concentration(DefaultE13Options()) }},
 		{ID: "E14", Title: "Distributed low-memory MWU protocol (Section 1)", Run: func() (*Result, error) { return E14Protocol(DefaultE14Options()) }},
 	}
-}
-
-// Lookup returns the spec with the given ID.
-func Lookup(id string) (Spec, error) {
-	for _, s := range Registry() {
-		if s.ID == id {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("%w: unknown experiment %q", ErrBadOptions, id)
 }

@@ -28,18 +28,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	t.Parallel()
-
-	s, err := Lookup("E05")
-	if err != nil || s.ID != "E05" {
-		t.Errorf("Lookup(E05) = %+v, %v", s, err)
-	}
-	if _, err := Lookup("E99"); !errors.Is(err, ErrBadOptions) {
-		t.Error("unknown ID accepted")
-	}
-}
-
 // The experiment runs below use deliberately scaled-down options so the
 // whole package tests in seconds; the default options exercise the full
 // sweeps via cmd/repro and the benchmarks.

@@ -1,7 +1,3 @@
-// Package experiment is the benchmark harness: it defines one named,
-// reproducible experiment per quantitative claim in the paper (see
-// DESIGN.md's per-experiment index), runs parameter sweeps with
-// independent seeds in parallel, and renders paper-style tables.
 package experiment
 
 import (

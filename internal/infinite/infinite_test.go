@@ -448,8 +448,8 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkAblationLogSpace compares the default normalized update with
-// the raw-weight tracking variant (the design choice called out in
-// DESIGN.md).
+// the raw-weight tracking variant (the log-space design choice
+// documented in the package comment).
 func BenchmarkAblationLogSpace(b *testing.B) {
 	for _, track := range []bool{false, true} {
 		name := "normalized"

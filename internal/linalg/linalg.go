@@ -1,7 +1,7 @@
 // Package linalg provides the small dense linear-algebra substrate used
 // by the exact Markov-chain analysis (internal/markov): dense matrices,
 // LU-style Gaussian elimination with partial pivoting for linear
-// systems, and matrix-vector products. Go's standard library has no
+// systems, and vector-matrix products. Go's standard library has no
 // numerical linear algebra; the solvers here are written for the sizes
 // the analysis needs (hundreds of states), favoring clarity and
 // numerical robustness over asymptotics.
@@ -34,12 +34,6 @@ func NewMatrix(rows, cols int) (*Matrix, error) {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}, nil
 }
 
-// Rows returns the row count.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
@@ -54,23 +48,6 @@ func (m *Matrix) Clone() *Matrix {
 	cp := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
 	copy(cp.data, m.data)
 	return cp
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("%w: %dx%d times vector of %d", ErrShape, m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		sum := 0.0
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
-	}
-	return out, nil
 }
 
 // VecMul returns xᵀ·m (left multiplication), used for distribution
@@ -148,46 +125,4 @@ func Solve(m *Matrix, b []float64) ([]float64, error) {
 		x[i] = sum / a.At(i, i)
 	}
 	return x, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) (*Matrix, error) {
-	m, err := NewMatrix(n, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m, nil
-}
-
-// Sub returns a − b.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d minus %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// MaxAbsResidual returns max_i |(m·x − b)_i|, for verifying solutions.
-func MaxAbsResidual(m *Matrix, x, b []float64) (float64, error) {
-	mx, err := m.MulVec(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != len(mx) {
-		return 0, fmt.Errorf("%w: rhs length %d", ErrShape, len(b))
-	}
-	worst := 0.0
-	for i := range mx {
-		if d := math.Abs(mx[i] - b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
 }

@@ -32,7 +32,6 @@ import (
 	"math"
 
 	"repro/internal/linalg"
-	"repro/internal/rng"
 )
 
 var (
@@ -183,36 +182,10 @@ func binomialPMF(dst []float64, n int, p float64) {
 // N returns the population size.
 func (c *Chain) N() int { return c.cfg.N }
 
-// TransitionProbability returns P[k → k'].
-func (c *Chain) TransitionProbability(k, kPrime int) float64 {
-	return c.tm.At(k, kPrime)
-}
-
-// RowSumError returns the worst |row sum − 1| across states — a
-// correctness diagnostic for the exact construction.
-func (c *Chain) RowSumError() float64 {
-	worst := 0.0
-	for k := 0; k <= c.cfg.N; k++ {
-		sum := 0.0
-		for j := 0; j <= c.cfg.N; j++ {
-			sum += c.tm.At(k, j)
-		}
-		if d := math.Abs(sum - 1); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // IsAbsorbing reports whether states 0 and N are absorbing (µ = 0 and
 // α or the reward structure cannot re-seed an extinct option).
 func (c *Chain) IsAbsorbing() bool {
 	return c.tm.At(0, 0) > 1-1e-12 && c.tm.At(c.cfg.N, c.cfg.N) > 1-1e-12
-}
-
-// StepDistribution advances a state distribution one step: πᵀT.
-func (c *Chain) StepDistribution(pi []float64) ([]float64, error) {
-	return c.tm.VecMul(pi)
 }
 
 // FixationProbabilities returns, for every start state k, the
@@ -318,32 +291,6 @@ func (c *Chain) StationaryDistribution(maxIters int, tol float64) ([]float64, er
 		}
 	}
 	return pi, nil
-}
-
-// Simulate runs the chain forward from state k0 for steps steps and
-// returns the end state. It samples from the exact transition rows, so
-// its law matches the matrix by construction; tests use it to
-// cross-check the analytic absorption quantities.
-func (c *Chain) Simulate(r *rng.RNG, k0, steps int) (int, error) {
-	if k0 < 0 || k0 > c.cfg.N || steps < 0 || r == nil {
-		return 0, fmt.Errorf("%w: simulate k0=%d steps=%d", ErrBadConfig, k0, steps)
-	}
-	k := k0
-	row := make([]float64, c.cfg.N+1)
-	for s := 0; s < steps; s++ {
-		for j := range row {
-			row[j] = c.tm.At(k, j)
-		}
-		next, err := r.Categorical(row)
-		if err != nil {
-			return 0, fmt.Errorf("markov: simulate: %w", err)
-		}
-		k = next
-		if c.IsAbsorbing() && (k == 0 || k == c.cfg.N) {
-			break
-		}
-	}
-	return k, nil
 }
 
 // WrongFixationProbability returns the probability that the µ = 0 chain,

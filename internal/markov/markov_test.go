@@ -2,6 +2,7 @@ package markov
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -334,4 +335,54 @@ func BenchmarkFixationN100(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// RowSumError, StepDistribution and Simulate are test oracles: they
+// cross-check the exact transition matrix and the analytic absorption
+// quantities.
+
+// RowSumError returns the worst |row sum − 1| across states — a
+// correctness diagnostic for the exact construction.
+func (c *Chain) RowSumError() float64 {
+	worst := 0.0
+	for k := 0; k <= c.cfg.N; k++ {
+		sum := 0.0
+		for j := 0; j <= c.cfg.N; j++ {
+			sum += c.tm.At(k, j)
+		}
+		if d := math.Abs(sum - 1); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// StepDistribution advances a state distribution one step: πᵀT.
+func (c *Chain) StepDistribution(pi []float64) ([]float64, error) {
+	return c.tm.VecMul(pi)
+}
+
+// Simulate runs the chain forward from state k0 for steps steps and
+// returns the end state. It samples from the exact transition rows, so
+// its law matches the matrix by construction.
+func (c *Chain) Simulate(r *rng.RNG, k0, steps int) (int, error) {
+	if k0 < 0 || k0 > c.cfg.N || steps < 0 || r == nil {
+		return 0, fmt.Errorf("%w: simulate k0=%d steps=%d", ErrBadConfig, k0, steps)
+	}
+	k := k0
+	row := make([]float64, c.cfg.N+1)
+	for s := 0; s < steps; s++ {
+		for j := range row {
+			row[j] = c.tm.At(k, j)
+		}
+		next, err := r.Categorical(row)
+		if err != nil {
+			return 0, fmt.Errorf("markov: simulate: %w", err)
+		}
+		k = next
+		if c.IsAbsorbing() && (k == 0 || k == c.cfg.N) {
+			break
+		}
+	}
+	return k, nil
 }

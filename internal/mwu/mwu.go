@@ -1,15 +1,10 @@
 // Package mwu implements the classic multiplicative-weights-update
-// baselines the paper relates its dynamics to (Arora–Hazan–Kale 2012):
-//
-//   - Hedge: the standard exponential-weights algorithm with a free
-//     learning rate ε, including the horizon-optimal tuning
-//     ε = sqrt(ln m / T) achieving O(sqrt(ln m / T)) average regret —
-//     the rate the paper's conclusion contrasts against the socially
-//     constrained β.
-//   - Replicator: the deterministic replicator dynamics, the
-//     continuous-time / infinite-population limit mentioned in
-//     Section 3, integrated with explicit Euler steps on the expected
-//     rewards.
+// baseline the paper relates its dynamics to (Arora–Hazan–Kale 2012):
+// Hedge, the standard exponential-weights algorithm with a free
+// learning rate ε, including the horizon-optimal tuning
+// ε = sqrt(ln m / T) achieving O(sqrt(ln m / T)) average regret — the
+// rate the paper's conclusion contrasts against the socially
+// constrained β.
 //
 // Unlike the paper's dynamics, Hedge explicitly stores a weight vector —
 // precisely the memory the social-learning implementation avoids.
@@ -33,7 +28,6 @@ type Hedge struct {
 	t    int
 
 	cumReward float64
-	lastP     []float64
 }
 
 // NewHedge creates a Hedge instance with m options and rate eps ∈ (0, 1].
@@ -125,12 +119,8 @@ func (h *Hedge) Observe(rewards []float64) (float64, error) {
 	}
 	h.t++
 	h.cumReward += gain
-	h.lastP = p
 	return gain, nil
 }
-
-// CumulativeReward returns Σ_t Σ_j p^{t−1}_j r^t_j.
-func (h *Hedge) CumulativeReward() float64 { return h.cumReward }
 
 // AverageRegretAgainst returns bestAvg − (cumulative reward)/T for a
 // benchmark per-step reward bestAvg (e.g. η_1).
@@ -139,108 +129,4 @@ func (h *Hedge) AverageRegretAgainst(bestAvg float64) (float64, error) {
 		return 0, fmt.Errorf("%w: no steps observed", ErrBadConfig)
 	}
 	return bestAvg - h.cumReward/float64(h.t), nil
-}
-
-// Replicator integrates the deterministic replicator dynamics
-//
-//	dx_j/dt = x_j·(f_j − Σ_k x_k f_k)
-//
-// on fixed expected fitness f (here the option qualities η), using Euler
-// steps of size dt. It is the noiseless, infinite-population,
-// continuous-time limit discussed in Section 3.
-type Replicator struct {
-	fitness []float64
-	x       []float64
-	dt      float64
-}
-
-// NewReplicator validates and builds the integrator, starting uniform.
-func NewReplicator(fitness []float64, dt float64) (*Replicator, error) {
-	if len(fitness) == 0 {
-		return nil, fmt.Errorf("%w: empty fitness", ErrBadConfig)
-	}
-	if math.IsNaN(dt) || dt <= 0 || dt > 1 {
-		return nil, fmt.Errorf("%w: dt=%v", ErrBadConfig, dt)
-	}
-	for j, f := range fitness {
-		if math.IsNaN(f) || f < 0 || f > 1 {
-			return nil, fmt.Errorf("%w: fitness[%d]=%v", ErrBadConfig, j, f)
-		}
-	}
-	fit := make([]float64, len(fitness))
-	copy(fit, fitness)
-	x := make([]float64, len(fitness))
-	for j := range x {
-		x[j] = 1 / float64(len(x))
-	}
-	return &Replicator{fitness: fit, x: x, dt: dt}, nil
-}
-
-// State returns a copy of the current population share vector.
-func (r *Replicator) State() []float64 {
-	out := make([]float64, len(r.x))
-	copy(out, r.x)
-	return out
-}
-
-// SetState replaces the state with a probability vector.
-func (r *Replicator) SetState(x []float64) error {
-	if len(x) != len(r.x) {
-		return fmt.Errorf("%w: state length %d, want %d", ErrBadConfig, len(x), len(r.x))
-	}
-	sum := 0.0
-	for j, v := range x {
-		if math.IsNaN(v) || v < 0 {
-			return fmt.Errorf("%w: state[%d]=%v", ErrBadConfig, j, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("%w: state sums to %v", ErrBadConfig, sum)
-	}
-	copy(r.x, x)
-	return nil
-}
-
-// Step advances one Euler step and renormalizes to defeat round-off.
-func (r *Replicator) Step() {
-	avg := 0.0
-	for j, f := range r.fitness {
-		avg += r.x[j] * f
-	}
-	sum := 0.0
-	for j, f := range r.fitness {
-		r.x[j] += r.dt * r.x[j] * (f - avg)
-		if r.x[j] < 0 {
-			r.x[j] = 0
-		}
-		sum += r.x[j]
-	}
-	if sum > 0 {
-		for j := range r.x {
-			r.x[j] /= sum
-		}
-	}
-}
-
-// RunUntil integrates until the best option's share exceeds target or
-// maxSteps elapse, returning the number of steps taken and whether the
-// target was reached. The best option is the argmax of fitness.
-func (r *Replicator) RunUntil(target float64, maxSteps int) (steps int, reached bool, err error) {
-	if math.IsNaN(target) || target <= 0 || target >= 1 || maxSteps <= 0 {
-		return 0, false, fmt.Errorf("%w: target=%v maxSteps=%d", ErrBadConfig, target, maxSteps)
-	}
-	best := 0
-	for j, f := range r.fitness {
-		if f > r.fitness[best] {
-			best = j
-		}
-	}
-	for steps = 0; steps < maxSteps; steps++ {
-		if r.x[best] >= target {
-			return steps, true, nil
-		}
-		r.Step()
-	}
-	return steps, r.x[best] >= target, nil
 }

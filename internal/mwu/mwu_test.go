@@ -158,90 +158,6 @@ func TestHedgeRegretBound(t *testing.T) {
 	}
 }
 
-func TestReplicatorValidation(t *testing.T) {
-	t.Parallel()
-
-	if _, err := NewReplicator(nil, 0.1); !errors.Is(err, ErrBadConfig) {
-		t.Error("empty fitness accepted")
-	}
-	if _, err := NewReplicator([]float64{0.5}, 0); !errors.Is(err, ErrBadConfig) {
-		t.Error("dt=0 accepted")
-	}
-	if _, err := NewReplicator([]float64{1.5}, 0.1); !errors.Is(err, ErrBadConfig) {
-		t.Error("fitness > 1 accepted")
-	}
-}
-
-func TestReplicatorConvergesToBest(t *testing.T) {
-	t.Parallel()
-
-	r, err := NewReplicator([]float64{0.9, 0.5, 0.3}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps, reached, err := r.RunUntil(0.99, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reached {
-		t.Fatalf("replicator did not reach 0.99 after %d steps: %v", steps, r.State())
-	}
-	x := r.State()
-	if !stats.IsProbabilityVector(x, 1e-9) {
-		t.Errorf("state not a probability vector: %v", x)
-	}
-}
-
-func TestReplicatorFixedPointAtVertex(t *testing.T) {
-	t.Parallel()
-
-	r, err := NewReplicator([]float64{0.9, 0.1}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A vertex (all mass on one option) is a fixed point even if it is
-	// the inferior option — exactly why the finite dynamics needs mu>0.
-	if err := r.SetState([]float64{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		r.Step()
-	}
-	if x := r.State(); x[1] != 1 {
-		t.Errorf("vertex was not a fixed point: %v", x)
-	}
-}
-
-func TestReplicatorSetStateValidation(t *testing.T) {
-	t.Parallel()
-
-	r, err := NewReplicator([]float64{0.9, 0.1}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetState([]float64{1}); !errors.Is(err, ErrBadConfig) {
-		t.Error("short state accepted")
-	}
-	if err := r.SetState([]float64{0.7, 0.7}); !errors.Is(err, ErrBadConfig) {
-		t.Error("non-normalized state accepted")
-	}
-}
-
-func TestReplicatorRunUntilValidation(t *testing.T) {
-	t.Parallel()
-
-	r, err := NewReplicator([]float64{0.9, 0.1}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.RunUntil(0, 10); !errors.Is(err, ErrBadConfig) {
-		t.Error("target=0 accepted")
-	}
-	if _, _, err := r.RunUntil(0.5, 0); !errors.Is(err, ErrBadConfig) {
-		t.Error("maxSteps=0 accepted")
-	}
-}
-
 func TestQuickHedgeDistributionValid(t *testing.T) {
 	t.Parallel()
 
@@ -267,25 +183,6 @@ func TestQuickHedgeDistributionValid(t *testing.T) {
 			}
 		}
 		return stats.IsProbabilityVector(h.Distribution(), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickReplicatorSimplexInvariant(t *testing.T) {
-	t.Parallel()
-
-	f := func(f1, f2, f3 uint8, steps uint8) bool {
-		fitness := []float64{float64(f1) / 255, float64(f2) / 255, float64(f3) / 255}
-		r, err := NewReplicator(fitness, 0.1)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < int(steps); i++ {
-			r.Step()
-		}
-		return stats.IsProbabilityVector(r.State(), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

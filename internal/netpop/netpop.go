@@ -43,11 +43,8 @@ type Config struct {
 	Graph *graph.Graph
 	// Mu is the exploration probability.
 	Mu float64
-	// Rule is the shared adoption rule (used when Rules is nil).
+	// Rule is the adoption rule every node follows (required).
 	Rule agent.Rule
-	// Rules optionally provides heterogeneous per-node adoption rules;
-	// its size must equal the graph's node count.
-	Rules *agent.Population
 	// Env generates the per-step quality signals.
 	Env env.Environment
 	// Seed drives all randomness.
@@ -58,15 +55,14 @@ type Config struct {
 type Dynamics struct {
 	g       *graph.Graph
 	mu      float64
-	rules   []agent.Rule
+	rule    agent.Rule
 	environ env.Environment
 	r       *rng.RNG
 
-	// sharedLinear devirtualizes stage-2 adoption when every node
-	// follows one agent.Linear rule (see population.AgentEngine): the
-	// per-node interface dispatch collapses to a Bernoulli draw
-	// against a per-option probability, with an identical draw
-	// sequence.
+	// sharedLinear devirtualizes stage-2 adoption when the rule is an
+	// agent.Linear (see population.AgentEngine): the per-node interface
+	// dispatch collapses to a Bernoulli draw against a per-option
+	// probability, with an identical draw sequence.
 	sharedLinear agent.Linear
 	devirt       bool
 	padopt       []float64 // scratch: per-option adoption probability
@@ -91,11 +87,8 @@ func New(c Config) (*Dynamics, error) {
 	if math.IsNaN(c.Mu) || c.Mu < 0 || c.Mu > 1 {
 		return nil, fmt.Errorf("%w: mu=%v", ErrBadConfig, c.Mu)
 	}
-	if c.Rule == nil && c.Rules == nil {
+	if c.Rule == nil {
 		return nil, fmt.Errorf("%w: nil rule", ErrBadConfig)
-	}
-	if c.Rules != nil && c.Rules.Size() != c.Graph.N() {
-		return nil, fmt.Errorf("%w: %d rules for %d nodes", ErrBadConfig, c.Rules.Size(), c.Graph.N())
 	}
 	if c.Env == nil {
 		return nil, fmt.Errorf("%w: nil environment", ErrBadConfig)
@@ -104,18 +97,10 @@ func New(c Config) (*Dynamics, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: %d options", ErrBadConfig, m)
 	}
-	rules := make([]agent.Rule, c.Graph.N())
-	for i := range rules {
-		if c.Rules != nil {
-			rules[i] = c.Rules.Rule(i)
-		} else {
-			rules[i] = c.Rule
-		}
-	}
 	d := &Dynamics{
 		g:       c.Graph,
 		mu:      c.Mu,
-		rules:   rules,
+		rule:    c.Rule,
 		environ: c.Env,
 		r:       rng.New(c.Seed),
 		padopt:  make([]float64, m),
@@ -125,14 +110,8 @@ func New(c Config) (*Dynamics, error) {
 		rewards: make([]float64, m),
 		fracs:   make([]float64, m),
 	}
-	if lin, ok := rules[0].(agent.Linear); ok {
+	if lin, ok := c.Rule.(agent.Linear); ok {
 		d.sharedLinear, d.devirt = lin, true
-		for _, rl := range rules[1:] {
-			if l2, ok := rl.(agent.Linear); !ok || l2 != lin {
-				d.sharedLinear, d.devirt = agent.Linear{}, false
-				break
-			}
-		}
 	}
 	d.resetState(c.Seed)
 	return d, nil
@@ -257,7 +236,7 @@ func (d *Dynamics) Step() error {
 		x.StoreTo(d.r)
 	} else {
 		for i, j := range d.next {
-			if d.rules[i].Adopt(d.r, d.rewards[j]) {
+			if d.rule.Adopt(d.r, d.rewards[j]) {
 				d.choice[i] = j
 			}
 		}

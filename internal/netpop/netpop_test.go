@@ -8,6 +8,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/env"
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -237,53 +238,85 @@ func TestHittingTime(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousRules(t *testing.T) {
+// opaqueRule wraps an agent.Linear behind a distinct type so New
+// cannot detect it as Linear and must take the interface path.
+type opaqueRule struct{ lin agent.Linear }
+
+func (o opaqueRule) Adopt(r *rng.RNG, signal float64) bool { return o.lin.Adopt(r, signal) }
+func (o opaqueRule) Alpha() float64                        { return o.lin.Alpha() }
+func (o opaqueRule) Beta() float64                         { return o.lin.Beta() }
+
+// TestDevirtualizedAdoptionMatchesInterfacePath runs the same seeded
+// network dynamics once with an agent.Linear rule (devirtualized stage
+// 2) and once with that rule behind an opaque wrapper (per-node
+// interface dispatch), on a ring and on a random graph. The two must
+// walk identical trajectories: the devirtualized path is an
+// implementation detail, not a semantic fork.
+func TestDevirtualizedAdoptionMatchesInterfacePath(t *testing.T) {
 	t.Parallel()
-
-	strict, err := agent.NewSymmetric(0.73)
+	ring, err := graph.Ring(200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lax, err := agent.NewSymmetric(0.55)
+	random, err := graph.ErdosRenyi(200, 0.03, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := make([]agent.Rule, 100)
-	for i := range rules {
-		if i%2 == 0 {
-			rules[i] = strict
-		} else {
-			rules[i] = lax
+	for _, g := range []struct {
+		name  string
+		graph *graph.Graph
+	}{{"ring", ring}, {"erdos-renyi", random}} {
+		for _, p := range []struct {
+			name        string
+			alpha, beta float64
+		}{
+			{"interior", 0.3, 0.7},
+			{"alpha-zero", 0, 0.7}, // boundary: bad signals consume no draw
+			{"beta-one", 0.2, 1},   // boundary: good signals consume no draw
+		} {
+			t.Run(g.name+"/"+p.name, func(t *testing.T) {
+				t.Parallel()
+				lin, err := agent.NewLinear(p.alpha, p.beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				build := func(rule agent.Rule) *Dynamics {
+					environ, err := env.NewIIDBernoulli([]float64{0.9, 0.5, 0.5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := New(Config{Graph: g.graph, Mu: 0.05, Rule: rule, Env: environ, Seed: 23})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return d
+				}
+				devirt, iface := build(lin), build(opaqueRule{lin: lin})
+				if !devirt.devirt {
+					t.Fatal("Linear rule did not take the devirtualized path")
+				}
+				if iface.devirt {
+					t.Fatal("opaque rule unexpectedly devirtualized")
+				}
+				for s := 0; s < 300; s++ {
+					if err := devirt.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if err := iface.Step(); err != nil {
+						t.Fatal(err)
+					}
+					f1, f2 := devirt.Fractions(), iface.Fractions()
+					for j := range f1 {
+						if math.Float64bits(f1[j]) != math.Float64bits(f2[j]) {
+							t.Fatalf("step %d: fraction[%d] %v (devirt) != %v (interface)", s, j, f1[j], f2[j])
+						}
+					}
+					if math.Float64bits(devirt.GroupReward()) != math.Float64bits(iface.GroupReward()) {
+						t.Fatalf("step %d: group reward %v (devirt) != %v (interface)", s, devirt.GroupReward(), iface.GroupReward())
+					}
+				}
+			})
 		}
-	}
-	pop, err := agent.NewHeterogeneous(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := baseConfig(t)
-	c.Rule = nil
-	c.Rules = pop
-	d, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 400; i++ {
-		if err := d.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f := d.Fractions(); f[0] < 0.6 {
-		t.Errorf("heterogeneous network share %v, want > 0.6", f[0])
-	}
-
-	// Mismatched rule count rejected.
-	small, err := agent.NewHomogeneous(10, strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Rules = small
-	if _, err := New(c); !errors.Is(err, ErrBadConfig) {
-		t.Error("mismatched rules size accepted")
 	}
 }
 

@@ -30,12 +30,11 @@ import (
 // The block engine advances the counts-based law this way for both
 // finite engines — O(m) draws per lane-step regardless of population
 // size, where the v1 per-trajectory AgentEngine walks every individual.
-// That is sound because its constructors only admit a homogeneous
-// adoption rule (heterogeneous rules are rejected at construction):
-// under one shared rule the individuals of a lane are exchangeable, so
-// the per-agent walk and the counts-based dynamics are the same
-// stochastic law — the equality the v1 AgentEngine/AggregateEngine
-// pair already relies on (package doc).
+// That is sound because every individual follows the one Config.Rule:
+// the individuals of a lane are exchangeable, so the per-agent walk and
+// the counts-based dynamics are the same stochastic law — the equality
+// the v1 AgentEngine/AggregateEngine pair already relies on (package
+// doc).
 //
 // Each lane draws only from its own stream, so any partition of R
 // replications into blocks — including R blocks of one lane — replays
@@ -199,7 +198,7 @@ func (s *blockCommon) finishStep(next []int) (recycled []int) {
 // plus the stage-1 multinomial sampler and stage-2 thinning buffers.
 // The two constructors differ only in what they accept
 // (NewAgentBlockEngine requires an agent.Linear rule, mirroring the v1
-// AgentEngine's surface; NewAggregateBlockEngine any shared rule), not
+// AgentEngine's surface; NewAggregateBlockEngine any rule), not
 // in how the block steps, so under v2 the agent and aggregate engines
 // draw identical sequences.
 type BlockEngine struct {
@@ -272,23 +271,20 @@ func (e *BlockEngine) StepBlock() error {
 
 // NewAgentBlockEngine validates the config and builds a block of lanes
 // EngineAgent replications seeded at global lane lane0 from c.Seed. It
-// requires a homogeneous agent.Linear rule, which makes the individuals
-// of one lane exchangeable — their candidate tallies are exactly
-// Multinomial(n, (1−µ)Q + µ/m) and their adoption outcomes per category
-// sum to a Binomial — so the block advances the counts-based law
-// directly, in O(m) draws per lane-step where the v1 per-trajectory
-// path walks all n agents. Equal in law to the v1 AgentEngine under a
-// shared rule; heterogeneous rules have no block form.
+// requires an agent.Linear rule. One rule shared by every individual
+// makes the individuals of one lane exchangeable — their candidate
+// tallies are exactly Multinomial(n, (1−µ)Q + µ/m) and their adoption
+// outcomes per category sum to a Binomial — so the block advances the
+// counts-based law directly, in O(m) draws per lane-step where the v1
+// per-trajectory path walks all n agents. Equal in law to the v1
+// AgentEngine.
 func NewAgentBlockEngine(c Config, lane0, lanes int) (*BlockEngine, error) {
-	m, err := c.validate(false)
+	m, err := c.validate()
 	if err != nil {
 		return nil, err
 	}
 	if lane0 < 0 || lanes <= 0 {
 		return nil, fmt.Errorf("%w: block of %d lanes at lane %d", ErrBadConfig, lanes, lane0)
-	}
-	if c.Rules != nil {
-		return nil, fmt.Errorf("%w: block engine requires a homogeneous rule", ErrBadConfig)
 	}
 	lin, ok := c.Rule.(agent.Linear)
 	if !ok {
@@ -301,17 +297,14 @@ func NewAgentBlockEngine(c Config, lane0, lanes int) (*BlockEngine, error) {
 // lanes AggregateEngine replications seeded at global lane lane0 from
 // c.Seed: per lane, environment rewards, one stage-1 multinomial, then
 // stage-2 binomial thinning for the whole block in ascending option
-// order per lane. It requires a shared adoption rule.
+// order per lane.
 func NewAggregateBlockEngine(c Config, lane0, lanes int) (*BlockEngine, error) {
-	m, err := c.validate(true)
+	m, err := c.validate()
 	if err != nil {
 		return nil, err
 	}
 	if lane0 < 0 || lanes <= 0 {
 		return nil, fmt.Errorf("%w: block of %d lanes at lane %d", ErrBadConfig, lanes, lane0)
-	}
-	if c.Rules != nil {
-		return nil, fmt.Errorf("%w: AggregateEngine requires a homogeneous rule", ErrBadConfig)
 	}
 	return newBlockEngine(&c, m, lane0, lanes, c.Rule.Alpha(), c.Rule.Beta())
 }

@@ -192,14 +192,10 @@ func TestBlockEngineRejectsBadConfigs(t *testing.T) {
 	if _, err := NewAgentBlockEngine(good, 0, 0); err == nil {
 		t.Fatal("expected error for zero lanes")
 	}
-	pop, err := agent.NewHomogeneous(good.N, good.Rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	het := good
-	het.Rules = pop
-	if _, err := NewAgentBlockEngine(het, 0, 2); err == nil {
-		t.Fatal("expected error for heterogeneous rules")
+	opaque := good
+	opaque.Rule = opaqueRule{lin: mustLinear(t, 0.3, 0.7)}
+	if _, err := NewAgentBlockEngine(opaque, 0, 2); err == nil {
+		t.Fatal("expected error for a rule that is not agent.Linear")
 	}
 	if _, err := NewAggregateBlockEngine(good, 0, -1); err == nil {
 		t.Fatal("expected error for negative lanes")

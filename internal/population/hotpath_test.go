@@ -54,22 +54,14 @@ func TestDevirtualizedAdoptionMatchesInterfacePath(t *testing.T) {
 			if !devirt.devirt {
 				t.Fatal("shared Linear rule did not take the devirtualized path")
 			}
-			rules := make([]agent.Rule, n)
-			for i := range rules {
-				rules[i] = opaqueRule{lin: lin}
-			}
-			pop, err := agent.NewHeterogeneous(rules)
-			if err != nil {
-				t.Fatal(err)
-			}
 			iface, err := NewAgentEngine(Config{
-				N: n, Mu: 0.1, Rule: lin, Rules: pop, Env: mustEnv(t, qualities...), Seed: seed,
+				N: n, Mu: 0.1, Rule: opaqueRule{lin: lin}, Env: mustEnv(t, qualities...), Seed: seed,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if iface.devirt {
-				t.Fatal("opaque rules unexpectedly devirtualized")
+				t.Fatal("opaque rule unexpectedly devirtualized")
 			}
 			for s := 0; s < steps; s++ {
 				if err := devirt.Step(); err != nil {

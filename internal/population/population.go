@@ -17,7 +17,6 @@
 // Two engines advance the same stochastic law:
 //
 //   - AgentEngine walks every individual explicitly (O(N + m) per step).
-//     It supports heterogeneous adoption rules.
 //   - AggregateEngine advances only per-option counts using a
 //     multinomial draw for stage one and binomial draws for stage two
 //     (O(m) per step), enabling populations of millions — the regime
@@ -99,12 +98,8 @@ type Config struct {
 	N int
 	// Mu is the exploration probability µ ∈ [0, 1].
 	Mu float64
-	// Rule is the shared adoption rule (required for AggregateEngine;
-	// used by AgentEngine when Rules is nil).
+	// Rule is the adoption rule every individual follows (required).
 	Rule agent.Rule
-	// Rules optionally provides heterogeneous per-agent adoption rules
-	// (AgentEngine only). When set, its size must equal N.
-	Rules *agent.Population
 	// Env generates the per-step quality signals.
 	Env env.Environment
 	// InitialCounts optionally sets D^0 (length m, non-negative, at
@@ -115,7 +110,7 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) validate(needShared bool) (m int, err error) {
+func (c *Config) validate() (m int, err error) {
 	if c.N <= 0 {
 		return 0, fmt.Errorf("%w: N=%d", ErrBadConfig, c.N)
 	}
@@ -129,13 +124,8 @@ func (c *Config) validate(needShared bool) (m int, err error) {
 	if m <= 0 {
 		return 0, fmt.Errorf("%w: environment has %d options", ErrBadConfig, m)
 	}
-	if needShared || c.Rules == nil {
-		if c.Rule == nil {
-			return 0, fmt.Errorf("%w: nil adoption rule", ErrBadConfig)
-		}
-	}
-	if c.Rules != nil && c.Rules.Size() != c.N {
-		return 0, fmt.Errorf("%w: %d rules for N=%d", ErrBadConfig, c.Rules.Size(), c.N)
+	if c.Rule == nil {
+		return 0, fmt.Errorf("%w: nil adoption rule", ErrBadConfig)
 	}
 	if c.InitialCounts != nil {
 		if len(c.InitialCounts) != m {
@@ -312,14 +302,13 @@ func (s *common) commitCounts(newCounts []int) (recycled []int) {
 // AgentEngine simulates every individual explicitly.
 type AgentEngine struct {
 	common
-	n     int
-	rules []agent.Rule // nil for homogeneous populations
-	// sharedLinear devirtualizes stage-2 adoption: when every agent
-	// follows one agent.Linear rule, the per-agent interface dispatch
-	// collapses to a Bernoulli draw against a per-option probability.
+	n int
+	// sharedLinear devirtualizes stage-2 adoption: when the rule is an
+	// agent.Linear, the per-agent interface dispatch collapses to a
+	// Bernoulli draw against a per-option probability.
 	sharedLinear agent.Linear
 	devirt       bool
-	sharedRule   agent.Rule // set when Rules is nil and the rule is not Linear
+	sharedRule   agent.Rule // set when the rule is not Linear
 	table        dist.Alias // persistent stage-1 sampling table (Rebuild per step)
 	padopt       []float64  // scratch: per-option adoption probability
 	stripes      []int      // scratch: stage-2 kernel stripe accumulators (4m)
@@ -331,7 +320,7 @@ var _ Engine = (*AgentEngine)(nil)
 
 // NewAgentEngine validates the config and builds the per-agent engine.
 func NewAgentEngine(c Config) (*AgentEngine, error) {
-	m, err := c.validate(false)
+	m, err := c.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -343,28 +332,10 @@ func NewAgentEngine(c Config) (*AgentEngine, error) {
 		choice:  make([]int, c.N),
 		next:    make([]int, m),
 	}
-	if c.Rules == nil {
-		if lin, ok := c.Rule.(agent.Linear); ok {
-			e.sharedLinear, e.devirt = lin, true
-		} else {
-			e.sharedRule = c.Rule
-		}
+	if lin, ok := c.Rule.(agent.Linear); ok {
+		e.sharedLinear, e.devirt = lin, true
 	} else {
-		e.rules = make([]agent.Rule, c.N)
-		for i := range e.rules {
-			e.rules[i] = c.Rules.Rule(i)
-		}
-		// A heterogeneous rule set whose entries are all the same
-		// Linear value still takes the devirtualized path.
-		if lin, ok := e.rules[0].(agent.Linear); ok {
-			e.sharedLinear, e.devirt = lin, true
-			for _, rl := range e.rules[1:] {
-				if l2, ok := rl.(agent.Linear); !ok || l2 != lin {
-					e.sharedLinear, e.devirt = agent.Linear{}, false
-					break
-				}
-			}
-		}
+		e.sharedRule = c.Rule
 	}
 	// Validate the sampling-table family once: the per-step vectors
 	// (1−µ)Q_j + µ/m stay in it by construction.
@@ -406,8 +377,7 @@ func (e *AgentEngine) Step() error {
 	for j := range e.next {
 		e.next[j] = 0
 	}
-	switch {
-	case e.devirt:
+	if e.devirt {
 		// Shared agent.Linear: precompute the per-option adoption
 		// probability (β on a good signal, α on a bad one) and draw
 		// one Bernoulli per agent — the exact draw sequence
@@ -447,14 +417,7 @@ func (e *AgentEngine) Step() error {
 			}
 			x.StoreTo(r)
 		}
-	case e.rules != nil:
-		for i := 0; i < e.n; i++ {
-			j := e.choice[i]
-			if e.rules[i].Adopt(r, e.rewards[j]) {
-				e.next[j]++
-			}
-		}
-	default:
+	} else {
 		rule := e.sharedRule
 		for i := 0; i < e.n; i++ {
 			j := e.choice[i]
@@ -469,8 +432,8 @@ func (e *AgentEngine) Step() error {
 
 // AggregateEngine advances per-option counts directly: stage one is a
 // multinomial split of the N sampling decisions, stage two a binomial
-// thinning per option. This is exactly the law of AgentEngine with a
-// shared rule, at O(m) cost per step.
+// thinning per option. This is exactly the law of AgentEngine, at O(m)
+// cost per step.
 type AggregateEngine struct {
 	common
 	n       int
@@ -484,14 +447,11 @@ type AggregateEngine struct {
 var _ Engine = (*AggregateEngine)(nil)
 
 // NewAggregateEngine validates the config and builds the count-level
-// engine. It requires a shared adoption rule.
+// engine.
 func NewAggregateEngine(c Config) (*AggregateEngine, error) {
-	m, err := c.validate(true)
+	m, err := c.validate()
 	if err != nil {
 		return nil, err
-	}
-	if c.Rules != nil {
-		return nil, fmt.Errorf("%w: AggregateEngine requires a homogeneous rule", ErrBadConfig)
 	}
 	e := &AggregateEngine{
 		common:  newCommon(&c, m),

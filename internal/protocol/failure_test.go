@@ -7,7 +7,7 @@ import (
 	"repro/internal/env"
 )
 
-// TestEnvironmentFailurePropagates verifies both runners surface an
+// TestEnvironmentFailurePropagates verifies the simulator surfaces an
 // injected environment failure.
 func TestEnvironmentFailurePropagates(t *testing.T) {
 	t.Parallel()
@@ -27,23 +27,5 @@ func TestEnvironmentFailurePropagates(t *testing.T) {
 	}
 	if err := s.Step(); !errors.Is(err, env.ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
-	}
-
-	c2 := baseConfig(t)
-	faulty2, err := env.NewFaulty(c2.Env, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.Env = faulty2
-	con, err := NewConcurrent(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer con.Shutdown()
-	if err := con.Step(); err != nil {
-		t.Fatalf("first concurrent round failed: %v", err)
-	}
-	if err := con.Step(); !errors.Is(err, env.ErrInjected) {
-		t.Fatalf("concurrent: want ErrInjected, got %v", err)
 	}
 }
