@@ -350,12 +350,15 @@
 // cache.get/cache.put, queue.wait, and run spans, and every job's run
 // nests one replication span per v1 replication or replication.block
 // span per v2 block (single-spec and sweep jobs alike execute through
-// experiment.RunSweep). A trace allocates in proportion to the spans
-// it records: it starts with room for four 208 B spans, so a cache
-// hit's three spans (root, validate, cache.get) cost about 1 KB with
-// the Trace itself, and a miss or a sweep grows the array by append (a
+// experiment.RunSweep). A trace allocates in proportion to what it
+// records: a span takes 40 B and an attribute 48 B, and the Trace
+// holds room for four of each, so a cache hit's three spans (root,
+// validate, cache.get) and two attributes cost one 512 B allocation,
+// while a miss or a sweep grows the arrays by append (a
 // single-replication simulate records 8 spans, an 8-replication v1
-// simulate 15). A traced cache hit allocates at most 2 KiB more than
+// simulate 15) or reserves them once (a 16-variant × 8-replication v1
+// sweep's 135 spans and 136 attributes hold about 12 KB). A traced
+// cache hit allocates at most 2 KiB and three allocations more than
 // an untraced one, pinned by TestTracedCacheHitAllocs. The last
 // -trace-ring completed traces back GET /debug/traces, any trace
 // slower than -trace-slow is logged through slog, and a job's tree is

@@ -13,12 +13,11 @@ import (
 // engine that re-weights each step keeps one steady-state-allocation-
 // free table instead of constructing a fresh one per step.
 type Alias struct {
-	prob  []float64
 	alias []int
 
-	// thresh is prob pre-scaled by 2⁵³ (an exact, exponent-only
-	// scaling) for the bulk kernel, which compares raw 53-bit draws
-	// directly instead of converting each to [0, 1).
+	// thresh is each column's keep probability pre-scaled by 2⁵³ (an
+	// exact, exponent-only scaling) for the bulk kernel, which compares
+	// raw 53-bit draws directly instead of converting each to [0, 1).
 	thresh []float64
 
 	// Construction worklists, retained across Rebuild calls.
@@ -38,7 +37,6 @@ func (a *Alias) Rebuild(weights []float64) error {
 	if err != nil {
 		return err
 	}
-	a.prob = resizeFloats(a.prob, m)
 	a.scaled = resizeFloats(a.scaled, m)
 	a.alias = resizeInts(a.alias, m)
 	// Worklists are pre-sized to their m-element worst case so no
@@ -47,7 +45,7 @@ func (a *Alias) Rebuild(weights []float64) error {
 	a.small = resizeInts(a.small, m)[:0]
 	a.large = resizeInts(a.large, m)[:0]
 	a.thresh = resizeFloats(a.thresh, m)
-	buildAliasInto(weights, total, a.prob, a.alias, a.thresh, a.scaled, a.small, a.large)
+	buildAliasInto(weights, total, a.alias, a.thresh, a.scaled, a.small, a.large)
 	return nil
 }
 
@@ -72,12 +70,13 @@ func aliasTotal(weights []float64) (float64, error) {
 }
 
 // buildAliasInto is the deterministic Vose construction behind
-// Alias.Rebuild: it fills prob, alias, and
-// thresh (prob pre-scaled by 2⁵³) for the validated weights, using
-// scaled plus the small/large worklists as scratch. All destinations
-// are length m = len(weights); the worklists need capacity m and are
-// passed length 0.
-func buildAliasInto(weights []float64, total float64, prob []float64, alias []int, thresh, scaled []float64, small, large []int) {
+// Alias.Rebuild: it fills alias and thresh (each column's keep
+// probability, then pre-scaled by 2⁵³) for the validated weights,
+// using scaled plus the small/large worklists as scratch. All
+// destinations are length m = len(weights); the worklists need
+// capacity m and are passed length 0.
+func buildAliasInto(weights []float64, total float64, alias []int, thresh, scaled []float64, small, large []int) {
+	prob := thresh
 	m := len(weights)
 	for j, w := range weights {
 		scaled[j] = w / total * float64(m)
@@ -110,8 +109,8 @@ func buildAliasInto(weights []float64, total float64, prob []float64, alias []in
 		prob[j] = 1
 		alias[j] = j
 	}
-	for j, p := range prob[:m] {
-		thresh[j] = p * (1 << 53)
+	for j := range prob[:m] {
+		prob[j] *= 1 << 53
 	}
 }
 
@@ -129,23 +128,11 @@ func resizeInts(buf []int, m int) []int {
 	return buf[:m]
 }
 
-// Len returns the number of categories.
-func (a *Alias) Len() int { return len(a.prob) }
-
-// Sample draws one category index.
-func (a *Alias) Sample(r *rng.RNG) int {
-	j := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[j] {
-		return j
-	}
-	return a.alias[j]
-}
-
-// SampleInto fills dst with independent draws — the bulk form of
-// Sample for per-step engine loops. It consumes exactly the draw
-// sequence len(dst) Sample calls would (two uniforms per draw, plus
-// the bounded draw's rare rejection redraws), delegating to the rng
-// package's register-resident bulk kernel.
+// SampleInto fills dst with independent draws for per-step engine
+// loops: two uniforms per draw, one picking a column and one deciding
+// between the column and its alias, plus the column draw's rare
+// rejection redraws. It delegates to the rng package's
+// register-resident bulk kernel.
 func (a *Alias) SampleInto(r *rng.RNG, dst []int) {
 	r.AliasSampleInto(a.thresh, a.alias, dst)
 }

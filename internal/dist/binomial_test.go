@@ -189,14 +189,15 @@ func TestAliasFrequencies(t *testing.T) {
 	if err := a.Rebuild(weights); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != len(weights) {
-		t.Fatalf("Len = %d, want %d", a.Len(), len(weights))
+	if len(a.alias) != len(weights) {
+		t.Fatalf("table has %d columns, want %d", len(a.alias), len(weights))
 	}
 	const trials = 500000
-	r := rng.New(13)
+	draws := make([]int, trials)
+	a.SampleInto(rng.New(13), draws)
 	counts := make([]int, len(weights))
-	for i := 0; i < trials; i++ {
-		counts[a.Sample(r)]++
+	for _, j := range draws {
+		counts[j]++
 	}
 	if counts[1] != 0 {
 		t.Errorf("zero-weight category drawn %d times", counts[1])

@@ -205,13 +205,14 @@ func TestAliasRebuildMatchesFreshTable(t *testing.T) {
 		if err := reused.Rebuild(weights); err != nil {
 			t.Fatal(err)
 		}
-		if fresh.Len() != reused.Len() {
-			t.Fatalf("weights=%v: len %d != %d", weights, reused.Len(), fresh.Len())
+		if len(fresh.alias) != len(reused.alias) {
+			t.Fatalf("weights=%v: len %d != %d", weights, len(reused.alias), len(fresh.alias))
 		}
-		r1 := rng.New(42)
-		r2 := rng.New(42)
-		for i := 0; i < 5000; i++ {
-			if a, b := fresh.Sample(r1), reused.Sample(r2); a != b {
+		want, got := make([]int, 5000), make([]int, 5000)
+		fresh.SampleInto(rng.New(42), want)
+		reused.SampleInto(rng.New(42), got)
+		for i := range want {
+			if a, b := want[i], got[i]; a != b {
 				t.Fatalf("weights=%v draw %d: rebuilt table sampled %d, fresh %d", weights, i, b, a)
 			}
 		}

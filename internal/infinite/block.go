@@ -142,9 +142,6 @@ func (b *BlockProcess) T() int { return b.t }
 // Options returns the number of options m.
 func (b *BlockProcess) Options() int { return b.m }
 
-// Lanes returns the number of replication lanes advanced per step.
-func (b *BlockProcess) Lanes() int { return b.lanes }
-
 // GroupReward returns lane's latest-step Σ_j P^{t−1}_j R^t_j.
 func (b *BlockProcess) GroupReward(lane int) float64 { return b.groupRew[lane] }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -371,15 +372,17 @@ func (c *Chain) Simulate(r *rng.RNG, k0, steps int) (int, error) {
 	}
 	k := k0
 	row := make([]float64, c.cfg.N+1)
+	var table dist.Alias
+	next := make([]int, 1)
 	for s := 0; s < steps; s++ {
 		for j := range row {
 			row[j] = c.tm.At(k, j)
 		}
-		next, err := r.Categorical(row)
-		if err != nil {
+		if err := table.Rebuild(row); err != nil {
 			return 0, fmt.Errorf("markov: simulate: %w", err)
 		}
-		k = next
+		table.SampleInto(r, next)
+		k = next[0]
 		if c.IsAbsorbing() && (k == 0 || k == c.cfg.N) {
 			break
 		}

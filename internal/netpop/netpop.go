@@ -171,9 +171,6 @@ func (d *Dynamics) Fractions() []float64 {
 // callers.
 func (d *Dynamics) AppendPopularity(dst []float64) []float64 { return append(dst, d.fracs...) }
 
-// Choice returns node i's current option.
-func (d *Dynamics) Choice(i int) int { return d.choice[i] }
-
 // GroupReward returns the latest step's Σ_j frac^{t−1}_j · R^t_j.
 func (d *Dynamics) GroupReward() float64 { return d.groupRew }
 

@@ -103,7 +103,7 @@ func TestFractionsTrackChoices(t *testing.T) {
 		}
 		counts := make([]float64, 2)
 		for node := 0; node < d.N(); node++ {
-			counts[d.Choice(node)]++
+			counts[d.choice[node]]++
 		}
 		fr := d.Fractions()
 		for j := range counts {

@@ -7,12 +7,14 @@ import (
 	"time"
 )
 
-// defaultSpanCap is the initial span capacity for traces whose creator
-// passed no hint: a cache hit's three spans (root, validate, cache.get)
-// plus a miss's admission. A hit therefore fits without growing; a
-// single-replication miss records 8 spans and an 8-replication v1 miss
-// 15, so Trace.Start grows their arrays by append until the run
-// reserves its task spans in one step (Trace.Reserve).
+// defaultSpanCap is the span and attribute room a trace holds in
+// itself, used when its creator passed no larger hint: a cache hit's
+// three spans (root, validate, cache.get) plus a miss's admission, and
+// a hit's two attributes (the root's status, the lookup's outcome). A
+// hit therefore fits without growing; a single-replication miss records
+// 8 spans and an 8-replication v1 miss 15, so Trace.Start grows their
+// arrays by append until the run reserves its task spans in one step
+// (Trace.Reserve).
 const defaultSpanCap = 4
 
 // Recorder retains the last N sealed traces in a lock-free ring and
@@ -57,12 +59,13 @@ func NewRecorder(ring int, opts ...Option) *Recorder {
 }
 
 // Start opens a new trace whose root span is named rootName. capHint
-// is the span count the caller expects, root included: the backing
-// array starts with that much room, raised to defaultSpanCap (pass 0
-// for the default) and cut to maxSpans, and Trace.Start grows it by
-// append past that. A caller that knows its span count passes it so
-// recording never grows the array. The caller holds the trace's
-// initial reference and must Release it.
+// is the span count the caller expects, root included: the span and
+// attribute arrays each start with that much room, raised to
+// defaultSpanCap (pass 0 for the default) and cut to maxSpans, and
+// Trace.Start and Trace.SetAttr grow them by append past that. A caller
+// that knows its span count passes it so recording one attribute per
+// span never grows an array. The caller holds the trace's initial
+// reference and must Release it.
 //
 // Start works on a nil recorder: the trace records normally but is
 // discarded at seal instead of entering a ring.
@@ -73,13 +76,13 @@ func (r *Recorder) Start(requestID, rootName string, capHint int) *Trace {
 	if capHint > maxSpans {
 		capHint = maxSpans
 	}
-	t := &Trace{
-		rec:   r,
-		reqID: requestID,
-		begin: time.Now(),
-		spans: make([]Span, 1, capHint),
+	t := &Trace{rec: r, reqID: requestID, begin: time.Now()}
+	if capHint > defaultSpanCap {
+		t.spans, t.attrs = make([]span, 1, capHint), make([]attr, 0, capHint)
+	} else {
+		t.spans, t.attrs = t.first.spans[:1], t.first.attrs[:0]
 	}
-	t.spans[0] = Span{Name: rootName, Parent: None}
+	t.spans[0] = span{name: rootName, parent: None}
 	t.refs.Store(1)
 	if r != nil {
 		r.started.Add(1)
@@ -94,11 +97,9 @@ func (r *Recorder) Event(name string, start time.Time, d time.Duration) {
 	if r == nil {
 		return
 	}
-	t := &Trace{
-		begin:    start,
-		duration: d,
-		spans:    []Span{{Name: name, Parent: None, End: int64(d)}},
-	}
+	t := &Trace{begin: start, duration: d}
+	t.spans = t.first.spans[:1]
+	t.spans[0] = span{name: name, parent: None, end: int64(d)}
 	t.sealed.Store(true)
 	r.started.Add(1)
 	r.deliver(t)
@@ -116,7 +117,7 @@ func (r *Recorder) deliver(t *Trace) {
 	if r.slowLogger != nil && r.slowThreshold > 0 && t.duration >= r.slowThreshold {
 		r.slowLogger.Warn("slow trace",
 			"request_id", t.reqID,
-			"root", t.spans[0].Name,
+			"root", t.spans[0].name,
 			"duration", t.duration,
 			"spans", len(t.spans),
 			"dropped_spans", t.dropped,

@@ -8,16 +8,30 @@
 // critical section on the trace's own mutex, and every method is safe
 // on a nil *Trace so untraced work (direct scheduler submissions,
 // benchmarks, cache hits driven without HTTP) pays exactly one nil
-// check. A trace starts with room for four spans, enough for a cache
-// hit's three, and Trace.Start grows the array by append past that, so
-// a trace allocates in proportion to the spans it records: about 1 KB
-// for a hit, a few KB for a simulate miss. End and SetAttr never
-// allocate, and Start allocates only when it grows the array, which a
-// creator that passes its span count as the capacity hint, or reserves
-// room for the spans it will record, avoids.
-// Exporting — Export's JSON tree, the recorder ring's snapshots — is
-// the cold path and runs only against sealed traces, which are
-// immutable, so readers never contend with writers.
+// check. Exporting — Export's JSON tree, the recorder ring's
+// snapshots — is the cold path and runs only against sealed traces,
+// which are immutable, so readers never contend with writers.
+//
+// What a trace costs (sizes on a 64-bit platform). A span is its name,
+// parent, start and end: 40 B. Most spans carry one attribute or none,
+// so attributes are kept apart, in one array per trace of (span ID,
+// key, value) records of 48 B each. The Trace itself (488 B, a 512 B
+// allocation) holds room for its first four spans and four attributes,
+// so a cache hit, which records three spans and two attributes, costs
+// that one allocation. Past that room Trace.Start and Trace.SetAttr grow their
+// arrays by append, so a trace allocates in proportion to what it
+// records. A sealed 16-variant × 8-replication v1 sweep trace (135
+// spans, 136 attributes) holds 12,072 B in its arrays: 135 × 40 B of
+// spans and 139 × 48 B of attributes, the room Trace.Reserve made. End
+// never allocates, and Start and SetAttr allocate only when they grow
+// an array, which a creator that passes its span count as the capacity
+// hint, or reserves room for the spans it will record, avoids.
+//
+// A trace records at most maxSpans (4,096) spans and maxAttrs (8,192)
+// attributes and counts the rest as dropped, and sealing right-sizes
+// both arrays, so one sealed trace pins about 4,096 × 40 B +
+// 8,192 × 48 B = 557,056 B of them at most, about 570 MB across the
+// 1,024 finished jobs a scheduler retains by default.
 //
 // Completion is reference-counted, not inferred from open spans: the
 // HTTP middleware holds one reference for the request's lifetime and
@@ -55,32 +69,35 @@ const None ID = -1
 // None for them.
 const maxSpans = 4096
 
-// maxAttrs is the fixed per-span attribute capacity; SetAttr beyond it
-// is dropped silently (attributes are debug annotations, not data).
-const maxAttrs = 4
+// maxAttrs bounds one trace's attribute count at two per span of a
+// full trace, the most any caller sets on average (a v2 sweep's task
+// spans carry replication and lanes). Attributes past the cap are
+// counted as dropped (attributes are debug annotations, not data).
+const maxAttrs = 2 * maxSpans
 
-// Attr is one key/value annotation on a span. Exactly one of Str and
-// Int is meaningful: Str when non-empty, Int otherwise.
-type Attr struct {
-	Key string
-	Str string
-	Int int64
-}
+// attrSlack is the attribute room Reserve adds beyond one per reserved
+// span, for the attributes that spans opened before the reservation set
+// as they end: the serving layer sets the root's status last.
+const attrSlack = 4
 
-// Span is one timed operation. Start and End are nanoseconds on the
-// trace's monotonic clock (0 = trace start); End stays 0 until the
+// span is one timed operation. start and end are nanoseconds on the
+// trace's monotonic clock (0 = trace start); end stays 0 until the
 // span ends (seal closes still-open spans at the trace's end time).
-type Span struct {
-	Name   string
-	Parent ID
-	Start  int64
-	End    int64
-	attrs  [maxAttrs]Attr
-	nattrs uint8
+type span struct {
+	name   string
+	parent ID
+	start  int64
+	end    int64
 }
 
-// Attrs returns the span's recorded attributes.
-func (s *Span) Attrs() []Attr { return s.attrs[:s.nattrs] }
+// attr is one key/value annotation on the span id. Exactly one of str
+// and num is meaningful: str when non-empty, num otherwise.
+type attr struct {
+	id  ID
+	key string
+	str string
+	num int64
+}
 
 // Trace is one request's span collection. Create traces through
 // Recorder.Start; the zero value is unusable, but every method is
@@ -90,13 +107,23 @@ type Trace struct {
 	reqID string
 	begin time.Time // wall + monotonic anchor; spans are offsets from it
 
-	mu      sync.Mutex
-	spans   []Span
-	dropped int
+	mu           sync.Mutex
+	spans        []span
+	attrs        []attr // in the order they were set, every span's in one array
+	dropped      int
+	droppedAttrs int
 
 	refs     atomic.Int32
 	sealed   atomic.Bool
 	duration time.Duration // written once at seal, read through Sealed()
+
+	// first backs spans and attrs until either outgrows it, so a trace
+	// that records no more than defaultSpanCap of each (a cache hit:
+	// three spans, two attributes) is one allocation.
+	first struct {
+		spans [defaultSpanCap]span
+		attrs [defaultSpanCap]attr
+	}
 }
 
 // RequestID returns the request ID the trace was opened with.
@@ -146,24 +173,32 @@ func (t *Trace) Start(name string, parent ID) ID {
 		t.dropped++
 		return None
 	}
-	t.spans = append(t.spans, Span{Name: name, Parent: parent, Start: now})
+	t.spans = append(t.spans, span{name: name, parent: parent, start: now})
 	return ID(len(t.spans) - 1)
 }
 
-// Reserve makes room for n more spans, up to the span cap, by growing
-// the array at most once, so a caller that learns its span count after
-// the trace started (a sweep, once it has counted its tasks) records
-// them without the repeated doublings of Start. No-op on a nil or
-// sealed trace, or when the room is already there.
+// Reserve makes room for n more spans, up to the span cap, and for one
+// attribute on each plus attrSlack more, up to the attribute cap, by
+// growing each array at most once. A caller that learns its span count
+// after the trace started (a sweep, once it has counted its tasks) then
+// records its spans, and one attribute on each, without the repeated
+// doublings of Start and SetAttr. No-op on a nil or sealed trace, or
+// when the room is already there.
 func (t *Trace) Reserve(n int) {
 	if t == nil || n <= 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	want := len(t.spans) + min(n, maxSpans-len(t.spans))
-	if !t.sealed.Load() && want > cap(t.spans) {
-		t.spans = append(make([]Span, 0, want), t.spans...)
+	if t.sealed.Load() {
+		return
+	}
+	n = min(n, maxSpans-len(t.spans))
+	if want := len(t.spans) + n; want > cap(t.spans) {
+		t.spans = append(make([]span, 0, want), t.spans...)
+	}
+	if want := min(len(t.attrs)+n+attrSlack, maxAttrs); want > cap(t.attrs) {
+		t.attrs = append(make([]attr, 0, want), t.attrs...)
 	}
 }
 
@@ -175,31 +210,32 @@ func (t *Trace) End(id ID) {
 	now := t.since()
 	t.mu.Lock()
 	if !t.sealed.Load() && int(id) < len(t.spans) {
-		t.spans[id].End = now
+		t.spans[id].end = now
 	}
 	t.mu.Unlock()
 }
 
 // SetAttr annotates the span with an integer value. Attributes past
-// the per-span capacity are dropped.
+// the trace's attribute cap are counted as dropped.
 func (t *Trace) SetAttr(id ID, key string, v int64) {
-	t.setAttr(id, Attr{Key: key, Int: v})
+	t.setAttr(attr{id: id, key: key, num: v})
 }
 
 // SetAttrStr annotates the span with a string value.
 func (t *Trace) SetAttrStr(id ID, key, v string) {
-	t.setAttr(id, Attr{Key: key, Str: v})
+	t.setAttr(attr{id: id, key: key, str: v})
 }
 
-func (t *Trace) setAttr(id ID, a Attr) {
-	if t == nil || id < 0 {
+func (t *Trace) setAttr(a attr) {
+	if t == nil || a.id < 0 {
 		return
 	}
 	t.mu.Lock()
-	if !t.sealed.Load() && int(id) < len(t.spans) {
-		if s := &t.spans[id]; s.nattrs < maxAttrs {
-			s.attrs[s.nattrs] = a
-			s.nattrs++
+	if !t.sealed.Load() && int(a.id) < len(t.spans) {
+		if len(t.attrs) < maxAttrs {
+			t.attrs = append(t.attrs, a)
+		} else {
+			t.droppedAttrs++
 		}
 	}
 	t.mu.Unlock()
@@ -234,17 +270,20 @@ func (t *Trace) seal() {
 	end := t.since()
 	t.mu.Lock()
 	for i := range t.spans {
-		if t.spans[i].End == 0 {
-			t.spans[i].End = end
+		if t.spans[i].end == 0 {
+			t.spans[i].end = end
 		}
 	}
-	// Right-size before the ring retains the trace when more than 16
-	// slots sit unused (a trace's last doubling, or a capacity hint or
-	// reservation that overshot), so the ring does not pin them for the
-	// trace's lifetime there. Smaller slack costs less to keep than to
-	// copy.
+	// Right-size either array before the ring retains the trace when
+	// more than 16 of its slots sit unused (a trace's last doubling, or
+	// a capacity hint or reservation that overshot), so the ring does
+	// not pin them for the trace's lifetime there. Smaller slack costs
+	// less to keep than to copy.
 	if cap(t.spans) > len(t.spans)+16 {
-		t.spans = append(make([]Span, 0, len(t.spans)), t.spans...)
+		t.spans = append(make([]span, 0, len(t.spans)), t.spans...)
+	}
+	if cap(t.attrs) > len(t.attrs)+16 {
+		t.attrs = append(make([]attr, 0, len(t.attrs)), t.attrs...)
 	}
 	t.duration = time.Duration(end)
 	t.mu.Unlock()
@@ -271,6 +310,7 @@ type TraceJSON struct {
 	DurationNs   int64     `json:"duration_ns"`
 	Spans        int       `json:"spans"`
 	DroppedSpans int       `json:"dropped_spans,omitempty"`
+	DroppedAttrs int       `json:"dropped_attrs,omitempty"`
 	Root         *Node     `json:"root"`
 }
 
@@ -282,26 +322,27 @@ func (t *Trace) Export() *TraceJSON {
 		return nil
 	}
 	nodes := make([]*Node, len(t.spans))
-	for i := range t.spans {
-		s := &t.spans[i]
-		n := &Node{Name: s.Name, StartNs: s.Start, DurationNs: s.End - s.Start}
-		if s.nattrs > 0 {
-			n.Attrs = make(map[string]any, s.nattrs)
-			for _, a := range s.Attrs() {
-				if a.Str != "" {
-					n.Attrs[a.Key] = a.Str
-				} else {
-					n.Attrs[a.Key] = a.Int
-				}
-			}
+	for i, s := range t.spans {
+		nodes[i] = &Node{Name: s.name, StartNs: s.start, DurationNs: s.end - s.start}
+	}
+	// Attributes apply in the order they were set, so a key set twice
+	// on one span exports its last value.
+	for _, a := range t.attrs {
+		n := nodes[a.id]
+		if n.Attrs == nil {
+			n.Attrs = make(map[string]any)
 		}
-		nodes[i] = n
+		if a.str != "" {
+			n.Attrs[a.key] = a.str
+		} else {
+			n.Attrs[a.key] = a.num
+		}
 	}
 	for i := 1; i < len(nodes); i++ {
 		// Spans always name an earlier span as parent; anything out of
 		// range (including None) reattaches to the root so the tree
 		// stays connected.
-		p := t.spans[i].Parent
+		p := t.spans[i].parent
 		if p < 0 || int(p) >= i {
 			p = Root
 		}
@@ -313,6 +354,7 @@ func (t *Trace) Export() *TraceJSON {
 		DurationNs:   int64(t.duration),
 		Spans:        len(t.spans),
 		DroppedSpans: t.dropped,
+		DroppedAttrs: t.droppedAttrs,
 	}
 	if len(nodes) > 0 {
 		out.Root = nodes[0]

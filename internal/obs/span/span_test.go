@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTraceExportTree(t *testing.T) {
@@ -120,46 +121,127 @@ func TestSealedTraceRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestReserveAllocs pins Reserve: after Reserve(n), n Start calls
-// record without allocating, where a trace grown by Start alone doubles
-// its array each time it fills. Reserve stops at the span cap and is a
-// no-op once the room is there or the trace is sealed.
+// TestReserveAllocs pins Reserve: after Reserve(n), n Start calls,
+// each with one SetAttr, record without allocating, where a trace grown
+// by Start and SetAttr alone doubles each array each time it fills.
+// Reserve stops at the span cap and is a no-op once the room is there
+// or the trace is sealed.
 func TestReserveAllocs(t *testing.T) {
 	const runs, n = 20, 128
 	rec := NewRecorder(1)
 	traces := make([]*Trace, runs+1) // AllocsPerRun calls f once more to warm up
 	for i := range traces {
 		traces[i] = rec.Start("r", "root", 0)
-		traces[i].Start("before", Root)
+		traces[i].SetAttr(traces[i].Start("before", Root), "k", 1)
 		traces[i].Reserve(n)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		tr := traces[next]
 		next++
-		for range n {
-			tr.End(tr.Start("task", Root))
+		for i := range n {
+			id := tr.Start("task", Root)
+			tr.SetAttr(id, "replication", int64(i))
+			tr.End(id)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("%v allocations per %d Start calls after Reserve(%d), want 0", allocs, n, n)
+		t.Errorf("%v allocations per %d Start and SetAttr calls after Reserve(%d), want 0", allocs, n, n)
 	}
 
 	tr := rec.Start("r", "root", 0)
 	tr.Reserve(n)
 	tr.Reserve(n - 1)
-	if cap(tr.spans) != 1+n {
-		t.Errorf("Reserve(%d) then Reserve(%d): cap %d, want %d", n, n-1, cap(tr.spans), 1+n)
+	if cap(tr.spans) != 1+n || cap(tr.attrs) != n+attrSlack {
+		t.Errorf("Reserve(%d) then Reserve(%d): caps %d spans, %d attrs, want %d and %d",
+			n, n-1, cap(tr.spans), cap(tr.attrs), 1+n, n+attrSlack)
 	}
 	tr.Reserve(math.MaxInt)
-	if cap(tr.spans) != maxSpans {
-		t.Errorf("Reserve(MaxInt): cap %d, want the span cap %d", cap(tr.spans), maxSpans)
+	if cap(tr.spans) != maxSpans || cap(tr.attrs) != maxSpans-1+attrSlack {
+		t.Errorf("Reserve(MaxInt): caps %d spans, %d attrs, want %d and %d",
+			cap(tr.spans), cap(tr.attrs), maxSpans, maxSpans-1+attrSlack)
 	}
 	sealed := rec.Start("r", "root", 0)
 	sealed.Release()
 	sealed.Reserve(n)
-	if cap(sealed.spans) != defaultSpanCap {
-		t.Errorf("Reserve on a sealed trace grew it to cap %d", cap(sealed.spans))
+	if cap(sealed.spans) != defaultSpanCap || cap(sealed.attrs) != defaultSpanCap {
+		t.Errorf("Reserve on a sealed trace grew it to caps %d spans, %d attrs", cap(sealed.spans), cap(sealed.attrs))
+	}
+}
+
+// heldBytes is what a trace's span and attribute arrays occupy.
+func heldBytes(tr *Trace) int {
+	return cap(tr.spans)*int(unsafe.Sizeof(span{})) + cap(tr.attrs)*int(unsafe.Sizeof(attr{}))
+}
+
+// TestSweepTraceBytes pins what a sweep trace costs, in the shape a
+// 16-variant × 8-replication v1 sweep takes on the daemon: a root and
+// five request spans carrying six attributes, then, once the sweep has
+// reserved its 128 task spans and the publish span after them, a task
+// span per replication carrying its index, the publish span with one
+// attribute, and the root's status last. Nothing after the reservation
+// may allocate, and the sealed trace's span and attribute arrays must
+// hold at most 14 KB.
+func TestSweepTraceBytes(t *testing.T) {
+	const runs, tasks, budget = 10, 128, 14 << 10
+	traces := make([]*Trace, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range traces {
+		tr := NewRecorder(1).Start("r", "POST /v1/sweep", 0)
+		for j := range 5 {
+			id := tr.Start("request", Root)
+			for k := range j % 4 {
+				tr.SetAttr(id, "k", int64(k))
+			}
+			tr.End(id)
+		}
+		tr.Reserve(tasks + 1)
+		traces[i] = tr
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		tr := traces[next]
+		next++
+		for i := range tasks {
+			id := tr.Start("replication", Root)
+			tr.SetAttr(id, "replication", int64(i))
+			tr.End(id)
+		}
+		tr.SetAttr(tr.Start("cache.publish", Root), "variants", 16)
+		tr.SetAttr(Root, "status", 200)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations recording a reserved sweep's spans and attributes, want 0", allocs)
+	}
+	tr := traces[runs]
+	tr.Release()
+	if len(tr.spans) != 135 || len(tr.attrs) != 136 {
+		t.Fatalf("trace holds %d spans and %d attributes, want 135 and 136", len(tr.spans), len(tr.attrs))
+	}
+	if held := heldBytes(tr); held > budget {
+		t.Errorf("a sealed 16×8 v1 sweep trace holds %d B in its arrays, want at most %d", held, budget)
+	}
+}
+
+// TestAttrCapBoundsTrace fills a trace to its span cap with four
+// attributes on every span. The attributes past maxAttrs are counted as
+// dropped, and the sealed trace's arrays hold no more than a full
+// trace's spans and attributes.
+func TestAttrCapBoundsTrace(t *testing.T) {
+	tr := NewRecorder(1).Start("r", "root", 0)
+	for id := Root; id != None; id = tr.Start("s", Root) {
+		for k := range 4 {
+			tr.SetAttr(id, "k", int64(k))
+		}
+	}
+	tr.Release()
+	out := tr.Export()
+	if out.Spans != maxSpans || out.DroppedAttrs != 4*maxSpans-maxAttrs {
+		t.Fatalf("spans = %d, dropped attributes = %d, want %d and %d",
+			out.Spans, out.DroppedAttrs, maxSpans, 4*maxSpans-maxAttrs)
+	}
+	want := maxSpans*int(unsafe.Sizeof(span{})) + maxAttrs*int(unsafe.Sizeof(attr{}))
+	if held := heldBytes(tr); held > want {
+		t.Errorf("a full trace holds %d B in its arrays, want at most %d", held, want)
 	}
 }
 

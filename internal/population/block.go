@@ -118,9 +118,6 @@ func (s *blockCommon) T() int { return s.t }
 // Options returns the number of options m.
 func (s *blockCommon) Options() int { return s.m }
 
-// Lanes returns the number of replication lanes advanced per step.
-func (s *blockCommon) Lanes() int { return s.lanes }
-
 // GroupReward returns lane's latest-step group reward.
 func (s *blockCommon) GroupReward(lane int) float64 { return s.groupRew[lane] }
 

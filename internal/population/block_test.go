@@ -16,25 +16,16 @@ func mustLinear(t *testing.T, alpha, beta float64) agent.Linear {
 	return r
 }
 
-// blockStepper is the surface the invariance tests exercise.
-type blockStepper interface {
-	StepBlock() error
-	Lanes() int
-	AppendPopularity(lane int, dst []float64) []float64
-	CumulativeGroupReward(lane int) float64
-	GroupReward(lane int) float64
-}
-
 // laneSnapshot runs a block for steps and returns each lane's final
 // popularity row and cumulative reward.
-func laneSnapshot(t *testing.T, b blockStepper, steps int) (pops [][]float64, cums []float64) {
+func laneSnapshot(t *testing.T, b *BlockEngine, steps int) (pops [][]float64, cums []float64) {
 	t.Helper()
 	for s := 0; s < steps; s++ {
 		if err := b.StepBlock(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < b.Lanes(); k++ {
+	for k := 0; k < b.lanes; k++ {
 		pops = append(pops, b.AppendPopularity(k, nil))
 		cums = append(cums, b.CumulativeGroupReward(k))
 	}

@@ -27,14 +27,9 @@
 package rng
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 )
-
-// ErrEmptyWeights is returned by weighted-sampling helpers when the
-// provided weight vector is empty or sums to a non-positive value.
-var ErrEmptyWeights = errors.New("rng: weight vector is empty or non-positive")
 
 // RNG is a deterministic pseudo-random number generator.
 //
@@ -219,7 +214,7 @@ func (x *Local) Float64() float64 {
 // compare — exactly Float64() < p_j, with thresh holding the
 // acceptance probabilities pre-scaled by 2⁵³ (an exact, exponent-only
 // scaling) so the raw 53-bit draw compares directly. The draw sequence
-// is identical to len(dst) individual Alias.Sample calls, with the
+// is identical to len(dst) such Intn, Float64 pairs, with the
 // generator state held in registers for the whole loop. It is the
 // stage-one bulk kernel of the simulation engines; distribution logic
 // (table construction, validation) stays in the dist package.
@@ -352,37 +347,6 @@ func (r *RNG) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Categorical samples an index proportionally to the non-negative
-// weights. It returns ErrEmptyWeights if weights is empty or the total
-// weight is not strictly positive.
-func (r *RNG) Categorical(weights []float64) (int, error) {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if len(weights) == 0 || total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return 0, ErrEmptyWeights
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	last := 0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		last = i
-		if u < acc {
-			return i, nil
-		}
-	}
-	// Floating-point accumulation may land exactly at total; return the
-	// last positive-weight index.
-	return last, nil
 }
 
 // Shuffle permutes the integers [0, n) uniformly at random (Fisher–Yates)

@@ -231,53 +231,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestCategoricalErrors(t *testing.T) {
-	t.Parallel()
-
-	r := New(1)
-	if _, err := r.Categorical(nil); err == nil {
-		t.Error("nil weights: want error")
-	}
-	if _, err := r.Categorical([]float64{0, 0}); err == nil {
-		t.Error("zero weights: want error")
-	}
-	if _, err := r.Categorical([]float64{-1, -2}); err == nil {
-		t.Error("negative weights: want error")
-	}
-	if _, err := r.Categorical([]float64{math.NaN()}); err == nil {
-		t.Error("NaN weight: want error")
-	}
-}
-
-func TestCategoricalProportions(t *testing.T) {
-	t.Parallel()
-
-	r := New(55)
-	weights := []float64{1, 0, 3, 6}
-	const n = 120000
-	counts := make([]int, len(weights))
-	for i := 0; i < n; i++ {
-		idx, err := r.Categorical(weights)
-		if err != nil {
-			t.Fatalf("Categorical: %v", err)
-		}
-		counts[idx]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index sampled %d times", counts[1])
-	}
-	total := 10.0
-	for i, w := range weights {
-		want := float64(n) * w / total
-		if w == 0 {
-			continue
-		}
-		if math.Abs(float64(counts[i])-want) > 5*math.Sqrt(want) {
-			t.Errorf("index %d: count %d, want ~%v", i, counts[i], want)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	t.Parallel()
 
@@ -334,37 +287,6 @@ func TestQuickIntnInRange(t *testing.T) {
 	}
 }
 
-func TestQuickCategoricalValidIndex(t *testing.T) {
-	t.Parallel()
-
-	f := func(seed uint64, raw []float64) bool {
-		weights := make([]float64, 0, len(raw))
-		positive := false
-		for _, w := range raw {
-			w = math.Abs(w)
-			if math.IsInf(w, 0) || math.IsNaN(w) || w > 1e12 {
-				w = math.Mod(w, 1e6)
-				if math.IsNaN(w) {
-					w = 1
-				}
-			}
-			weights = append(weights, w)
-			if w > 0 {
-				positive = true
-			}
-		}
-		r := New(seed)
-		idx, err := r.Categorical(weights)
-		if !positive || len(weights) == 0 {
-			return err != nil
-		}
-		return err == nil && idx >= 0 && idx < len(weights) && weights[idx] > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -376,17 +298,5 @@ func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Intn(1000)
-	}
-}
-
-func BenchmarkCategorical(b *testing.B) {
-	r := New(1)
-	weights := make([]float64, 50)
-	for i := range weights {
-		weights[i] = float64(i + 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = r.Categorical(weights)
 	}
 }

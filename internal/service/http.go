@@ -805,6 +805,9 @@ type tracesResponse struct {
 	Traces  []*span.TraceJSON `json:"traces"`
 }
 
+// maxMinMS is the largest ?min_ms= that a time.Duration holds.
+const maxMinMS = int64(math.MaxInt64 / time.Millisecond)
+
 // handleDebugTraces dumps the recent completed traces as JSON.
 // ?min_ms=N keeps only traces at least that long, which is how an
 // operator asks "what were the slow requests lately" without grepping
@@ -817,10 +820,10 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	var minDur time.Duration
 	if v := r.URL.Query().Get("min_ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms < 0 || ms > maxMinMS {
 			s.writeError(w, r, http.StatusBadRequest,
-				fmt.Errorf("service: min_ms must be a non-negative integer, got %q", v))
+				fmt.Errorf("service: min_ms must be an integer from 0 to %d, got %q", maxMinMS, v))
 			return
 		}
 		minDur = time.Duration(ms) * time.Millisecond

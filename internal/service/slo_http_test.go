@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -123,15 +124,16 @@ func TestSLOEndpointWithoutEngine(t *testing.T) {
 }
 
 // TestDebugTracesMinMSEdgeCases pins the min_ms query contract:
-// non-numeric and negative values are rejected with 400 (not silently
-// ignored), the filter keeps traces exactly at the boundary, and an
-// empty ring serializes as an empty array, not null.
+// non-numeric and negative values, and values past what a
+// time.Duration holds in milliseconds, are rejected with 400 (not
+// silently ignored or wrapped), the filter keeps traces exactly at the
+// boundary, and an empty ring serializes as an empty array, not null.
 func TestDebugTracesMinMSEdgeCases(t *testing.T) {
 	t.Parallel()
 	rec := span.NewRecorder(16)
 	ts, _ := optServer(t, WithTraces(rec))
 
-	for _, bad := range []string{"abc", "-5", "1.5"} {
+	for _, bad := range []string{"abc", "-5", "1.5", "9300000000000"} {
 		resp, err := http.Get(ts.URL + "/debug/traces?min_ms=" + bad)
 		if err != nil {
 			t.Fatal(err)
@@ -193,5 +195,8 @@ func TestDebugTracesMinMSEdgeCases(t *testing.T) {
 	}
 	if n, _ := count("51"); n != 0 {
 		t.Fatalf("min_ms=51 traces = %d, want 0", n)
+	}
+	if n, _ := count(strconv.FormatInt(maxMinMS, 10)); n != 0 {
+		t.Fatalf("min_ms=%d traces = %d, want 0", maxMinMS, n)
 	}
 }
